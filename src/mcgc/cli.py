@@ -213,12 +213,11 @@ def cmd_kmin(args) -> int:
 def _parse_blocks(text: str) -> list[tuple[int, int]]:
     blocks: list[tuple[int, int]] = []
     for token in text.replace(",", " ").split():
-        if "x" in token:
-            m_str, n_str = token.split("x", 1)
-            blocks.append((int(m_str), int(n_str)))
-        else:
-            v = int(token)
-            blocks.append((v, v))
+        m_str, sep, n_str = token.partition("x")
+        try:
+            blocks.append((int(m_str), int(n_str if sep else m_str)))
+        except ValueError as exc:
+            raise InputError(f"bad block shape {token!r}") from exc
     if not blocks:
         raise InputError("no block shapes given")
     return blocks
@@ -437,7 +436,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except McgcError as exc:
+    except (McgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,14 @@ from .errors import (
     InputError,
     UnknownBlockError,
 )
-from .sequences import ColorSequence, DistinguishabilityReport, Multiset
+from .sequences import (
+    ColorSequence,
+    DistinguishabilityReport,
+    Multiset,
+    _header_int,
+    keyed_report,
+    window_keys,
+)
 
 GridMode = Literal["plain", "cyclic"]
 
@@ -150,22 +157,19 @@ def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset
 def check_grid_distinguishable(
     g: ColorGrid2D, m: int, n: int
 ) -> DistinguishabilityReport:
-    """Are all block multisets over the coding area pairwise distinct?"""
-    first_seen: dict[tuple[int, ...], tuple[int, int]] = {}
-    best: tuple[tuple[int, int], tuple[int, int]] | None = None
+    """Are all block multisets over the coding area pairwise distinct?
+
+    Each band of m rows, read column by column, is one word in which the
+    block at (x0, y0) is the length-m*n window starting at y0*m.
+    """
     starts = block_starts(g, m, n)
-    for pos in starts:
-        key = _block_counts(g, pos[0], pos[1], m, n)
-        prev = first_seen.get(key)
-        if prev is None:
-            first_seen[key] = pos
-        else:
-            pair = (prev, pos)
-            if best is None or pair < best:
-                best = pair
-    if best is None:
-        return DistinguishabilityReport(True, None, len(starts))
-    return DistinguishabilityReport(False, best, len(starts))
+    cyclic = g.mode == "cyclic"
+    rows = g.cells + g.cells[: m - 1] if cyclic else g.cells
+    keys: list[tuple[int, ...]] = []
+    for x0 in range(len(rows) - m + 1):
+        band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
+        keys += window_keys(band, m * n, cyclic, step=m)
+    return keyed_report(keys, starts)
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ def parse_grid(text: str) -> ColorGrid2D:
         if line.startswith("#"):
             for token in line[1:].split():
                 if token.startswith("k="):
-                    k = int(token[2:])
+                    k = _header_int(token)
                 elif token.startswith("mode="):
                     mode = token[5:]
             continue
@@ -278,9 +282,9 @@ def parse_codebook(text: str) -> Codebook:
         if line.startswith("#"):
             for token in line[1:].split():
                 if token.startswith("m="):
-                    m = int(token[2:])
+                    m = _header_int(token)
                 elif token.startswith("n="):
-                    n = int(token[2:])
+                    n = _header_int(token)
                 elif token.startswith("mode="):
                     mode = token[5:]
             continue

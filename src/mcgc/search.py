@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import upper_bound
 from .errors import InputError
-from .sequences import ColorSequence
+from .sequences import ColorSequence, window_keys
 
 __all__ = ["SearchResult", "brute_force_max_cyclic"]
 
@@ -57,36 +57,22 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     raise AssertionError("unreachable: length 1 always admits a witness")
 
 
-def _wrapped_window(colors: list[int], t: int, m: int, k: int) -> tuple[int, ...]:
-    counts = [0] * k
-    n = len(colors)
-    for i in range(m):
-        counts[colors[(t + i) % n] - 1] += 1
-    return tuple(counts)
-
-
 def _find_at_length(m: int, k: int, n: int) -> tuple[int, ...] | None:
     """Lexicographically smallest canonical word of exactly length n whose
     cyclic windows are all distinct, or None."""
     prefix: list[int] = []
     seen: set[tuple[int, ...]] = set()  # completed non-wrapping windows
 
-    def all_cyclic_windows_distinct() -> bool:
-        keys = {_wrapped_window(prefix, t, m, k) for t in range(n)}
-        return len(keys) == n
-
     def extend() -> tuple[int, ...] | None:
         if len(prefix) == n:
-            return tuple(prefix) if all_cyclic_windows_distinct() else None
+            distinct = len(set(window_keys(prefix, m, cyclic=True))) == n
+            return tuple(prefix) if distinct else None
         used = max(prefix, default=0)
         for color in range(1, min(k, used + 1) + 1):
             prefix.append(color)
             key = None
             if len(prefix) >= m:
-                counts = [0] * k
-                for c in prefix[-m:]:
-                    counts[c - 1] += 1
-                key = tuple(counts)
+                key = tuple(sorted(prefix[-m:]))  # window_keys' key, inlined: hot loop
                 if key in seen:
                     prefix.pop()
                     continue

@@ -5,12 +5,16 @@ linearly or cyclically.  Every length-m window is summarized by the multiset
 of colors it contains; the sequence is m-distinguishable when all window
 multisets are pairwise distinct, so a window's multiset identifies where the
 window sits.
+
+The checks key each window by the sorted tuple of its colors (``window_keys``),
+which costs O(m) per window whatever the palette size.  The count vector of
+``Multiset`` is the wire form only: codebooks, decoding and file formats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError
 
@@ -22,6 +26,8 @@ __all__ = [
     "DistinguishabilityReport",
     "window_starts",
     "window_multiset",
+    "window_keys",
+    "keyed_report",
     "check_distinguishable",
     "t_cut",
     "format_sequence",
@@ -33,8 +39,9 @@ __all__ = [
 class Multiset:
     """A multiset over [k], stored as its count vector in palette order.
 
-    The count vector is the canonical key: O(k) equality and hashing with no
-    sorting ambiguity, and a stable wire form (counts joined by '-').
+    The count vector is the wire form: codebook keys, decoding, and the
+    '-'-joined ``key()`` of the file formats.  Distinguishability checks do not
+    build it; they key windows by their sorted colors (``window_keys``).
     """
 
     counts: tuple[int, ...]
@@ -158,52 +165,47 @@ def window_starts(seq: ColorSequence, m: int) -> range:
     return range(len(seq))
 
 
-def _window_counts(
-    colors: tuple[int, ...], t: int, m: int, k: int, cyclic: bool
-) -> tuple[int, ...]:
-    counts = [0] * k
+def window_keys(
+    colors: Sequence[int], m: int, cyclic: bool, step: int = 1
+) -> list[tuple[int, ...]]:
+    """Sorted colors of each length-m window whose start is a multiple of step.
+
+    Cyclic windows start anywhere and wrap, more than once when the word is
+    shorter than m.  Equal keys mean equal multisets.
+    """
+    n = len(colors)
     if cyclic:
-        n = len(colors)
-        for i in range(m):
-            counts[colors[(t + i) % n] - 1] += 1
+        colors = colors + (colors * ((m - 1) // n + 1))[: m - 1]
+        stop = n
     else:
-        for c in colors[t : t + m]:
-            counts[c - 1] += 1
-    return tuple(counts)
+        stop = n - m + 1
+    return [tuple(sorted(colors[t : t + m])) for t in range(0, stop, step)]
+
+
+def keyed_report(keys: list, tags: Sequence) -> DistinguishabilityReport:
+    """Report on window keys listed in ascending tag order; a collision is the
+    smallest (first, repeat) tag pair over all repeated keys."""
+    if len(set(keys)) == len(keys):
+        return DistinguishabilityReport(True, None, len(keys))
+    first: dict = {}
+    for tag, key in zip(tags, keys):
+        first.setdefault(key, tag)
+    best = min((first[key], tag) for tag, key in zip(tags, keys) if first[key] != tag)
+    return DistinguishabilityReport(False, best, len(keys))
 
 
 def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
     """Multiset of the m colors in the window tagged at position t."""
     if t not in window_starts(seq, m):
         raise InputError(f"window start {t} out of range for mode {seq.mode}")
-    return Multiset(
-        _window_counts(seq.colors, t, m, seq.palette_size, seq.mode == "cyclic")
-    )
+    wrapped = seq.colors + seq.colors[: m - 1]  # linear windows end before the tail
+    return Multiset.of(wrapped[t : t + m], seq.palette_size)
 
 
 def check_distinguishable(seq: ColorSequence, m: int) -> DistinguishabilityReport:
-    """Are all window multisets pairwise distinct?
-
-    Scans every window once; the reported collision is the smallest pair
-    (first occurrence, second occurrence) in lexicographic order over all
-    colliding keys.
-    """
+    """Are all window multisets pairwise distinct?"""
     starts = window_starts(seq, m)
-    cyclic = seq.mode == "cyclic"
-    first_seen: dict[tuple[int, ...], int] = {}
-    best: tuple[int, int] | None = None
-    for t in starts:
-        key = _window_counts(seq.colors, t, m, seq.palette_size, cyclic)
-        prev = first_seen.get(key)
-        if prev is None:
-            first_seen[key] = t
-        else:
-            pair = (prev, t)
-            if best is None or pair < best:
-                best = pair
-    if best is None:
-        return DistinguishabilityReport(True, None, len(starts))
-    return DistinguishabilityReport(False, best, len(starts))
+    return keyed_report(window_keys(seq.colors, m, seq.mode == "cyclic"), starts)
 
 
 def t_cut(seq: ColorSequence, t: int, m: int) -> ColorSequence:
@@ -231,6 +233,13 @@ def format_sequence(seq: ColorSequence, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(token: str) -> int:
+    try:
+        return int(token.partition("=")[2])
+    except ValueError as exc:
+        raise InputError(f"bad header token {token!r}") from exc
+
+
 def parse_sequences(text: str) -> list[ColorSequence]:
     """Parse the sequence text format, one sequence per line.
 
@@ -248,10 +257,7 @@ def parse_sequences(text: str) -> list[ColorSequence]:
         if line.startswith("#"):
             for token in line[1:].split():
                 if token.startswith("k="):
-                    try:
-                        header_k = int(token[2:])
-                    except ValueError as exc:
-                        raise InputError(f"bad header token {token!r}") from exc
+                    header_k = _header_int(token)
                 elif token.startswith("mode="):
                     value = token[5:]
                     if value not in ("linear", "cyclic"):

@@ -281,7 +281,7 @@ def _next_cell(
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
         if 0 <= x + dx < C and 0 <= y + dy < C
     ]
-    return moves[rng.randrange(len(moves))]
+    return moves[rng.randrange(len(moves))] if moves else prev
 
 
 def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:

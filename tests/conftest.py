@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from mcgc.grid2d import block_starts
 from mcgc.sequences import ColorSequence, window_starts
 
 
 def naive_distinguishable(seq, m):
     """Quadratic oracle: compare sorted window contents pairwise.
 
-    Independent of the count-vector path used by the library checker.
+    Independent of the library's window keys and collision scan.
     """
     n = len(seq)
     windows = []
@@ -22,6 +23,28 @@ def naive_distinguishable(seq, m):
         for j in range(i + 1, len(windows)):
             if windows[i] == windows[j]:
                 return False, (i, j)
+    return True, None
+
+
+def naive_grid_distinguishable(g, m, n):
+    """Quadratic oracle for grids: compare sorted block contents pairwise.
+
+    Returns (ok, pair) with pair the lexicographically smallest pair of
+    colliding tag points.
+    """
+    starts = block_starts(g, m, n)
+    blocks = [
+        sorted(
+            g.cells[(x0 + i) % g.M][(y0 + j) % g.N]
+            for i in range(m)
+            for j in range(n)
+        )
+        for x0, y0 in starts
+    ]
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if blocks[i] == blocks[j]:
+                return False, (starts[i], starts[j])
     return True, None
 
 

@@ -232,6 +232,17 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_bad_block_shape_is_1(self, capsys):
+        code, out, err = run_cli(capsys, "gain", "--sizes", "10", "--blocks", "2xq")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "2xq" in err
+
+    def test_unwritable_output_is_1(self, tmp_path, capsys):
+        target = str(tmp_path / "no-such-dir" / "x.txt")
+        code, out, err = run_cli(capsys, "construct", "--m", "2", "--k", "4", "-o", target)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
 
 class TestDeterminism:
     def test_repeated_commands_are_byte_identical(self, tmp_path, capsys):

@@ -227,3 +227,11 @@ class TestGridFiles:
             parse_grid("1,2\n1\n")
         with pytest.raises(InputError):
             parse_codebook("key,x0,y0\n")
+
+    def test_bad_grid_header_value(self):
+        with pytest.raises(InputError, match="k=x"):
+            parse_grid("# M=1 N=2 k=x mode=plain\n1,2\n")
+
+    def test_bad_codebook_header_value(self):
+        with pytest.raises(InputError, match="n=x"):
+            parse_codebook("# m=1 n=x k=2 mode=plain\nkey,x0,y0\n1-0,0,0\n")

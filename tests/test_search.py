@@ -70,3 +70,13 @@ def test_bad_arguments():
         brute_force_max_cyclic(0, 3, 5)
     with pytest.raises(InputError):
         brute_force_max_cyclic(2, 3, 0)
+
+
+def test_words_shorter_than_the_window_wrap_more_than_once():
+    # at m=5 the word 12 is read as the windows 12121 and 21212, which differ;
+    # every length-3 word on two colors repeats a window
+    result = brute_force_max_cyclic(5, 2, 10)
+    assert result.max_length == 2 and result.proven
+    assert result.witness.colors == (1, 2)
+    # at m=4 the windows 1212 and 2121 are the same multiset
+    assert brute_force_max_cyclic(4, 2, 10).max_length == 1

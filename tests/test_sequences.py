@@ -11,6 +11,7 @@ from mcgc.sequences import (
     format_sequence,
     parse_sequences,
     t_cut,
+    window_keys,
     window_multiset,
     window_starts,
 )
@@ -37,6 +38,22 @@ class TestMultiset:
             Multiset.of([4], 3)
         with pytest.raises(InputError):
             Multiset(())
+
+
+class TestWindowKeys:
+    def test_linear_and_cyclic(self):
+        assert window_keys((3, 1, 2, 1), 2, cyclic=False) == [(1, 3), (1, 2), (1, 2)]
+        assert window_keys((3, 1, 2, 1), 2, cyclic=True)[-1] == (1, 3)
+
+    def test_short_cyclic_word_wraps_more_than_once(self):
+        assert window_keys((1, 2), 5, cyclic=True) == [(1, 1, 1, 2, 2), (1, 1, 2, 2, 2)]
+
+    def test_step(self):
+        assert window_keys((4, 3, 2, 1, 5, 6), 4, cyclic=True, step=2) == [
+            (1, 2, 3, 4),
+            (1, 2, 5, 6),
+            (3, 4, 5, 6),
+        ]
 
 
 class TestColorSequence:

@@ -124,6 +124,11 @@ class TestRun:
             dy = abs(prev.cell[1] - cur.cell[1])
             assert dx + dy <= 1
 
+    def test_walk_on_a_single_cell_stays_put(self):
+        report, records = run(SimConfig(1, 1, 20, 8, seed=5, trajectory="walk"))
+        assert report.accuracy == 1.0
+        assert {r.cell for r in records} == {(0, 0)}
+
     def test_budget_flags(self):
         report, _ = run(SimConfig(100, 3, 5, 6, seed=0))
         assert not report.baseline_feasible  # log2(100^2) = 13.3 > 6
