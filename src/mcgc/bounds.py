@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .construct import cyclic_length
 from .errors import InputError, UnsupportedParameterError
 
 __all__ = [
@@ -102,13 +103,13 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
             if k >= _Y0[2]:
                 out.append((math.comb(k, 2) + 3, "padded-mcycle-cut", False))
             if k >= 4:
-                out.append((multichoose(k, 2) - k // 2 + 1, "dense-cyclic-cut", False))
+                out.append((cyclic_length(2, k) + 1, "dense-cyclic-cut", False))
     elif m == 3:
         if k % 3 != 0:
             if k >= _Y0[3]:
                 out.append((multichoose(k, 3) + 2, "mcycle-cut", True))
         else:
-            out.append((multichoose(k, 3) - k // 3 + 2, "dense-cyclic-cut", False))
+            out.append((cyclic_length(3, k) + 2, "dense-cyclic-cut", False))
             if k >= _Y0[3]:
                 out.append((math.comb(k + 1, 3) + 5, "padded-mcycle-cut", True))
     elif m == 4:
@@ -216,7 +217,9 @@ class GainRecord:
 def gain_record(M: int, N: int, m: int, n: int) -> GainRecord:
     k_m = min_colors_1d(M, m)
     k_n = min_colors_1d(N, n)
-    gain = (math.log2(k_m) + math.log2(k_n)) / (math.log2(M) + math.log2(N))
+    label_bits = math.log2(M) + math.log2(N)
+    # a 1x1 grid needs no label bits either way; call that no gain
+    gain = (math.log2(k_m) + math.log2(k_n)) / label_bits if label_bits else 1.0
     return GainRecord(M=M, N=N, m=m, n=n, k_M=k_m, k_N=k_n, gain=gain)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .bounds import (
@@ -22,7 +23,7 @@ from .bounds import (
     render_gain_csv,
     render_kmin_csv,
 )
-from .construct import build_m1, build_m2, build_m3
+from .construct import build
 from .crossing import compose_for_m, cross, plan_cross, shift_palette
 from .errors import InputError, McgcError
 from .grid2d import (
@@ -58,8 +59,8 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_output(args, text: str) -> None:
-    path = getattr(args, "output", None)
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout for None or '-'."""
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -67,11 +68,11 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_one_sequence(path: str) -> ColorSequence:
+def _read_sequences(path: str) -> list[ColorSequence]:
     seqs = parse_sequences(_read_text(path))
     if not seqs:
         raise InputError(f"no sequence found in {path}")
-    return seqs[0]
+    return seqs
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,29 +96,21 @@ def _parse_range(text: str) -> list[int]:
     return _int_list(text)
 
 
-def _builder(m: int):
-    return {1: build_m1, 2: build_m2, 3: build_m3}[m]
-
-
 def cmd_construct(args) -> int:
-    seq = _builder(args.m)(args.k)
+    seq = build(args.m, args.k)
     if args.linear:
         t = args.cut if args.cut is not None else len(seq) - 1
         seq = t_cut(seq, t, args.m)
     elif args.cut is not None:
         raise InputError("--cut only applies together with --linear")
-    _write_output(args, format_sequence(seq))
+    _write(args.output, format_sequence(seq))
     return 0
 
 
 def cmd_verify(args) -> int:
-    text = _read_text(args.file)
-    sequences = parse_sequences(text)
-    if not sequences:
-        raise InputError(f"no sequence found in {args.file}")
     failures = 0
     lines = []
-    for seq in sequences:
+    for seq in _read_sequences(args.file):
         if args.cyclic:
             seq = seq.with_mode("cyclic")
         elif args.linear:
@@ -132,13 +125,13 @@ def cmd_verify(args) -> int:
             result = {"ok": False, "collision": [i, j]}
             line = f"collision: windows {i} and {j} carry the same multiset"
         lines.append(json.dumps(result, sort_keys=True) if args.format == "json" else line)
-    _write_output(args, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
 def cmd_cut(args) -> int:
-    seq = _read_one_sequence(args.file).with_mode("cyclic")
-    _write_output(args, format_sequence(t_cut(seq, args.t, args.m)))
+    seq = _read_sequences(args.file)[0].with_mode("cyclic")
+    _write(args.output, format_sequence(t_cut(seq, args.t, args.m)))
     return 0
 
 
@@ -149,13 +142,13 @@ def cmd_search_max(args) -> int:
         f"search m={args.m} max={result.max_length} {status} "
         f"cap={result.cap} ceiling={result.ceiling}"
     ]
-    _write_output(args, format_sequence(result.witness, comments))
+    _write(args.output, format_sequence(result.witness, comments))
     return 0
 
 
 def cmd_cross(args) -> int:
-    s = _read_one_sequence(args.s).with_mode("cyclic")
-    t = _read_one_sequence(args.t).with_mode("cyclic")
+    s = _read_sequences(args.s)[0].with_mode("cyclic")
+    t = _read_sequences(args.t)[0].with_mode("cyclic")
     if min(t.colors) <= s.palette_size:
         t = shift_palette(t, s.palette_size)
     plan = plan_cross(len(s), args.m1, len(t), args.m2)
@@ -163,7 +156,7 @@ def cmd_cross(args) -> int:
     comments = [
         f"cross split={args.m1}+{args.m2} d={plan.d} L={plan.L}",
     ]
-    _write_output(args, format_sequence(out, comments))
+    _write(args.output, format_sequence(out, comments))
     return 0
 
 
@@ -174,29 +167,17 @@ def cmd_compose(args) -> int:
     comments.extend(
         f"stage {i}: d={plan.d} L={plan.L}" for i, plan in enumerate(result.plans)
     )
-    _write_output(args, format_sequence(result.sequence, comments))
+    _write(args.output, format_sequence(result.sequence, comments))
     return 0
 
 
 def cmd_bounds(args) -> int:
     records = bounds_table(args.m, _parse_range(args.k_range))
     if args.format == "json":
-        payload = [
-            {
-                "m": r.m,
-                "k": r.k,
-                "lower": r.lower,
-                "upper": r.upper,
-                "tight": r.tight,
-                "lower_provenance": r.lower_provenance,
-                "upper_provenance": r.upper_provenance,
-                "existence_only": r.existence_only,
-            }
-            for r in records
-        ]
-        _write_output(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload = [asdict(r) for r in records]
+        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _write_output(args, render_bounds_csv(records))
+        _write(args.output, render_bounds_csv(records))
     return 0
 
 
@@ -204,9 +185,9 @@ def cmd_kmin(args) -> int:
     rows = kmin_table(_int_list(args.m), _int_list(args.sizes))
     if args.format == "json":
         payload = [{"m": m, "M": M, "k": k} for m, M, k in rows]
-        _write_output(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _write_output(args, render_kmin_csv(rows))
+        _write(args.output, render_kmin_csv(rows))
     return 0
 
 
@@ -226,35 +207,26 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
 def cmd_gain(args) -> int:
     records = gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
     if args.format == "json":
-        payload = [
-            {
-                "m": r.m,
-                "n": r.n,
-                "M": r.M,
-                "N": r.N,
-                "k_M": r.k_M,
-                "k_N": r.k_N,
-                "gain": gain_3dp(r.gain),
-            }
-            for r in records
-        ]
-        _write_output(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        payload = [asdict(r) | {"gain": gain_3dp(r.gain)} for r in records]
+        for row in payload:
+            del row["provenance"]  # the published tables have no such column
+        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        _write_output(args, render_gain_csv(records))
+        _write(args.output, render_gain_csv(records))
     return 0
 
 
 def cmd_grid(args) -> int:
-    s = _read_one_sequence(args.s)
-    t = _read_one_sequence(args.t)
-    _write_output(args, format_grid(product_grid(s, t)))
+    s = _read_sequences(args.s)[0]
+    t = _read_sequences(args.t)[0]
+    _write(args.output, format_grid(product_grid(s, t)))
     return 0
 
 
 def cmd_codebook(args) -> int:
     grid = parse_grid(_read_text(args.grid))
     cb = build_codebook(grid, args.m, args.n)
-    _write_output(args, format_codebook(cb))
+    _write(args.output, format_codebook(cb))
     return 0
 
 
@@ -262,7 +234,7 @@ def cmd_decode(args) -> int:
     cb = parse_codebook(_read_text(args.codebook))
     colors = _int_list(args.colors)
     pos = decode(cb, Multiset.of(colors, cb.palette_size))
-    _write_output(args, f"{pos[0]} {pos[1]}\n")
+    _write(args.output, f"{pos[0]} {pos[1]}\n")
     return 0
 
 
@@ -293,12 +265,8 @@ def cmd_simulate(args) -> int:
     report, records = run(config)
     if args.records:
         ndjson = "".join(record.to_json() + "\n" for record in records)
-        if args.records == "-":
-            sys.stdout.write(ndjson)
-        else:
-            with open(args.records, "w", encoding="utf-8") as fh:
-                fh.write(ndjson)
-    _write_output(args, report.to_json() + "\n")
+        _write(args.records, ndjson)
+    _write(args.output, report.to_json() + "\n")
     return 0
 
 
@@ -317,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_output(p):
-        p.add_argument("-o", "--output", help="write data here instead of stdout")
-
     p = sub.add_parser("construct", help="build a distinguishable sequence")
     p.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--k", type=int, required=True, help="palette size")
@@ -327,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cyclic", action="store_true", help="cyclic output (default)")
     group.add_argument("--linear", action="store_true", help="cut the cycle open")
     p.add_argument("--cut", type=int, help="cut position for --linear (default: last)")
-    add_output(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check distinguishability of sequences in a file")
@@ -337,21 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--linear", action="store_true", help="force linear mode")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("file", help="sequence file, or - for stdin")
-    add_output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cut", help="linearize a cyclic sequence")
     p.add_argument("--t", type=int, required=True, help="cut position")
     p.add_argument("--m", type=int, required=True, help="window size")
     p.add_argument("file", help="sequence file, or - for stdin")
-    add_output(p)
     p.set_defaults(func=cmd_cut)
 
     p = sub.add_parser("search-max", help="exhaustive longest-sequence search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=int, required=True, help="length cap")
-    add_output(p)
     p.set_defaults(func=cmd_search_max)
 
     p = sub.add_parser("cross", help="interleave two cyclic sequences")
@@ -359,27 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="second sequence file")
     p.add_argument("--m1", type=int, required=True, help="first window size")
     p.add_argument("--m2", type=int, required=True, help="second window size")
-    add_output(p)
     p.set_defaults(func=cmd_cross)
 
     p = sub.add_parser("compose", help="build a sequence for any window size")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-colors", type=int, default=48)
-    add_output(p)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("bounds", help="length bound table (CSV)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k-range", required=True, help="A..B, comma list, or single k")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_output(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("kmin", help="minimal colors table (CSV)")
     p.add_argument("--m", required=True, help="window size(s), comma separated")
     p.add_argument("--sizes", required=True, help="grid sizes, comma separated")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_output(p)
     p.set_defaults(func=cmd_kmin)
 
     p = sub.add_parser("gain", help="coding gain table (CSV)")
@@ -390,26 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="block shapes: '3' means 3x3, or 'MxN', comma separated",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_output(p)
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("grid", help="product color grid from two sequences")
     p.add_argument("--s", required=True, help="x-axis sequence file")
     p.add_argument("--t", required=True, help="y-axis sequence file")
-    add_output(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("codebook", help="build the multiset-to-position table")
     p.add_argument("--grid", required=True, help="grid file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_output(p)
     p.set_defaults(func=cmd_codebook)
 
     p = sub.add_parser("decode", help="look up a reported multiset")
     p.add_argument("--codebook", required=True, help="codebook file")
     p.add_argument("--colors", required=True, help="reported colors, comma separated")
-    add_output(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="run the tracking simulator")
@@ -421,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", default="uniform", help="uniform | walk | walk:P")
     p.add_argument("--config", help="key=value config file instead of flags")
     p.add_argument("--records", help="write per-slot records (NDJSON) here")
-    add_output(p)
     p.set_defaults(func=cmd_simulate)
 
+    for p in sub.choices.values():  # last, so -o ends every command's help
+        p.add_argument("-o", "--output", help="write data here instead of stdout")
     return parser
 
 

@@ -5,6 +5,11 @@ m=1 is the bare palette; m=2 walks an Eulerian circuit of the complete graph
 ones); m=3 grows a pair of base words recursively, three new colors per
 step.  Every generator validates its own output against the checker and the
 length formula before returning it.
+
+This module owns which palettes each window size is built for
+(``palettes``), the length of each build (``cyclic_length``) and the choice
+of generator (``build``); compositions, simulator axes and bound tables go
+through these.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from .sequences import ColorSequence, check_distinguishable, t_cut
 
 __all__ = [
     "RecursionPair",
+    "palettes",
+    "cyclic_length",
+    "build",
     "build_m1",
     "build_m2",
     "build_m3",
@@ -69,7 +77,39 @@ def canonical_one_factor(k: int) -> list[tuple[int, int]]:
     return [(v, v + 1) for v in range(1, k, 2)]
 
 
-def _self_check(seq: ColorSequence, m: int, want_length: int) -> None:
+def palettes(m: int, max_colors: int) -> range:
+    """Palette sizes up to max_colors that build(m, k) accepts, ascending."""
+    if m not in (1, 2, 3):
+        raise InputError(f"no base construction for window {m}")
+    first, step = {1: (1, 1), 2: (3, 1), 3: (3, 3)}[m]
+    return range(first, max_colors + 1, step)
+
+
+def cyclic_length(m: int, k: int) -> int:
+    """Length of the cyclic word build(m, k), for k in palettes(m, ...)."""
+    if m == 1:
+        return k
+    if m == 2:
+        return math.comb(k + 1, 2) - (k // 2 if k % 2 == 0 else 0)
+    if m == 3:
+        return math.comb(k + 2, 3) - k // 3
+    raise InputError(f"no base construction for window {m}")
+
+
+def build(m: int, k: int) -> ColorSequence:
+    """The cyclic m-distinguishable word on [k].  Each generator is looked up
+    by name when called, so a wrapper set on the module sees every build."""
+    if m == 1:
+        return build_m1(k)
+    if m == 2:
+        return build_m2(k)
+    if m == 3:
+        return build_m3(k)
+    raise InputError(f"no base construction for window {m}")
+
+
+def _self_check(seq: ColorSequence, m: int) -> None:
+    want_length = cyclic_length(m, seq.palette_size)
     if len(seq) != want_length:
         raise SelfCheckError(
             f"built length {len(seq)} disagrees with formula value {want_length}"
@@ -100,13 +140,11 @@ def build_m2(k: int) -> ColorSequence:
     if k % 2 == 1:
         g = Multigraph.complete(k, loops=True)
         seq = ColorSequence(tuple(eulerian_circuit(g, 1)), k, "cyclic")
-        want = math.comb(k + 1, 2)
     else:
         g = Multigraph.complete(k, skip_edges=canonical_one_factor(k))
         circuit = eulerian_circuit(g, 1)
         seq = ColorSequence(repeat_first_occurrences(circuit), k, "cyclic")
-        want = math.comb(k + 1, 2) - k // 2
-    _self_check(seq, 2, want)
+    _self_check(seq, 2)
     return seq
 
 
@@ -200,7 +238,7 @@ def build_m3(k: int) -> ColorSequence:
         seq = ColorSequence.from_digits(_BASE_M3_K3, 3)
     else:
         seq = build_m3_pair(k).sequence
-    _self_check(seq, 3, math.comb(k + 2, 3) - k // 3)
+    _self_check(seq, 3)
     return seq
 
 

@@ -9,11 +9,10 @@ out of the window-2 and window-3 generators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .construct import build_m2, build_m3
+from .construct import build, cyclic_length, palettes
 from .errors import (
     ComposeError,
     InputError,
@@ -163,24 +162,22 @@ def _base_candidates(m: int, max_colors: int) -> list[tuple[int, int]]:
     Lengths not divisible by the window are dropped up front; divisibility
     is a plan precondition.
     """
-    out: list[tuple[int, int]] = []
-    if m == 2:
-        for k in range(3, max_colors + 1):
-            length = math.comb(k + 1, 2) - (k // 2 if k % 2 == 0 else 0)
-            if length % 2 == 0:
-                out.append((k, length))
-    elif m == 3:
-        for k in range(3, max_colors + 1, 3):
-            length = math.comb(k + 2, 3) - k // 3
-            if length % 3 == 0:
-                out.append((k, length))
-    else:
-        raise InputError(f"no base construction for window {m}")
-    return out
+    lengths = ((k, cyclic_length(m, k)) for k in palettes(m, max_colors))
+    return [(k, length) for k, length in lengths if length % m == 0]
 
 
-def _build_base(m: int, k: int) -> ColorSequence:
-    return build_m2(k) if m == 2 else build_m3(k)
+def _within_budget(menus: list, colors: int):
+    """Every choice of one (k, length) option per menu whose palettes total
+    at most colors, in itertools.product order.  Menus ascend in k, so a
+    branch stops at the first option over budget."""
+    if not menus:
+        yield ()
+        return
+    for k, length in menus[0]:
+        if k > colors:
+            break
+        for rest in _within_budget(menus[1:], colors - k):
+            yield ((k, length),) + rest
 
 
 def _fold_plans(parts: list[int], lengths: list[int]) -> list[CrossProductPlan] | None:
@@ -215,18 +212,14 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
     if len(parts) == 1:
         for k, length in _base_candidates(parts[0], max_colors):
             if length >= min_length:
-                return ComposeResult(
-                    _build_base(parts[0], k), tuple(parts), (k,), ()
-                )
+                return ComposeResult(build(parts[0], k), tuple(parts), (k,), ())
         raise ComposeError(
             f"no window-{m} base reaches length {min_length} within {max_colors} colors"
         )
     menus = [_base_candidates(p, max_colors) for p in parts]
     candidates = []
-    for combo in itertools.product(*menus):
+    for combo in _within_budget(menus, max_colors):
         ks = [k for k, _ in combo]
-        if sum(ks) > max_colors:
-            continue
         plans = _fold_plans(parts, [length for _, length in combo])
         if plans is None:
             continue
@@ -241,8 +234,8 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
         )
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     _, _, ks, plans = candidates[0]
-    seq = _build_base(parts[0], ks[0])
+    seq = build(parts[0], ks[0])
     for part, k, plan in zip(parts[1:], ks[1:], plans):
-        factor = shift_palette(_build_base(part, k), seq.palette_size)
+        factor = shift_palette(build(part, k), seq.palette_size)
         seq = cross(seq, factor, plan)
     return ComposeResult(seq, tuple(parts), ks, plans)

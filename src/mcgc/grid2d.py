@@ -23,12 +23,13 @@ from .sequences import (
     ColorSequence,
     DistinguishabilityReport,
     Multiset,
-    _header_int,
+    data_lines,
     keyed_report,
     window_keys,
 )
 
 GridMode = Literal["plain", "cyclic"]
+_GRID_MODES = ("plain", "cyclic")
 
 __all__ = [
     "ColorGrid2D",
@@ -60,7 +61,7 @@ class ColorGrid2D:
             raise InputError("grid needs at least one row and one column")
         if self.palette_size < 1:
             raise InputError("palette size must be at least 1")
-        if self.mode not in ("plain", "cyclic"):
+        if self.mode not in _GRID_MODES:
             raise InputError(f"unknown grid mode {self.mode!r}")
         width = len(self.cells[0])
         for row in self.cells:
@@ -234,29 +235,21 @@ def format_grid(g: ColorGrid2D) -> str:
 
 
 def parse_grid(text: str) -> ColorGrid2D:
-    k: int | None = None
-    mode = "plain"
+    """Read a grid file; header M= and N= must match the row and column counts."""
+    header: dict = {}
     rows: list[tuple[int, ...]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("k="):
-                    k = _header_int(token)
-                elif token.startswith("mode="):
-                    mode = token[5:]
-            continue
+    for line in data_lines(text, header, ("M", "N", "k"), _GRID_MODES):
         try:
             rows.append(tuple(int(tok) for tok in line.split(",")))
         except ValueError as exc:
             raise InputError(f"bad grid row {line!r}") from exc
     if not rows:
         raise InputError("no grid rows found")
-    if k is None:
-        k = max(max(row) for row in rows)
-    return ColorGrid2D(tuple(rows), k, mode)
+    k = header["k"] if "k" in header else max(max(row) for row in rows)
+    g = ColorGrid2D(tuple(rows), k, header.get("mode", "plain"))
+    if (header.get("M", g.M), header.get("N", g.N)) != (g.M, g.N):
+        raise InputError(f"grid header disagrees with its {g.M}x{g.N} rows")
+    return g
 
 
 def format_codebook(cb: Codebook) -> str:
@@ -272,21 +265,12 @@ def format_codebook(cb: Codebook) -> str:
 
 
 def parse_codebook(text: str) -> Codebook:
-    m = n = None
-    mode = "plain"
+    """Read a codebook file; header m*n must match the rows' cardinality and
+    header k their palette."""
+    header: dict = {}
     entries: dict[tuple[int, ...], tuple[int, int]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "key,x0,y0":
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("m="):
-                    m = _header_int(token)
-                elif token.startswith("n="):
-                    n = _header_int(token)
-                elif token.startswith("mode="):
-                    mode = token[5:]
+    for line in data_lines(text, header, ("m", "n", "k"), _GRID_MODES):
+        if line == "key,x0,y0":
             continue
         try:
             key_str, x_str, y_str = line.rsplit(",", 2)
@@ -300,8 +284,13 @@ def parse_codebook(text: str) -> Codebook:
     cards = {sum(key) for key in entries}
     if len(palettes) != 1 or len(cards) != 1:
         raise InputError("codebook rows disagree on palette or block size")
-    if m is None or n is None:
-        m, n = cards.pop(), 1  # header absent: only the product is known
-    if mode not in ("plain", "cyclic"):
-        raise InputError(f"unknown grid mode {mode!r}")
-    return Codebook(m, n, palettes.pop(), mode, entries)
+    k, card = palettes.pop(), cards.pop()
+    if "m" in header and "n" in header:
+        m, n = header["m"], header["n"]
+    else:
+        m, n = card, 1  # header absent: only the product is known
+    if m * n != card or header.get("k", k) != k:
+        raise InputError(
+            f"codebook header disagrees with its rows: {card} of {k} colors each"
+        )
+    return Codebook(m, n, k, header.get("mode", "plain"), entries)

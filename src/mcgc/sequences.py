@@ -9,6 +9,8 @@ window sits.
 The checks key each window by the sorted tuple of its colors (``window_keys``),
 which costs O(m) per window whatever the palette size.  The count vector of
 ``Multiset`` is the wire form only: codebooks, decoding and file formats.
+This module also owns the '# key=value' header that the sequence, grid and
+codebook files share (``data_lines``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "check_distinguishable",
     "t_cut",
     "format_sequence",
+    "data_lines",
     "parse_sequences",
 ]
 
@@ -233,11 +236,33 @@ def format_sequence(seq: ColorSequence, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _header_int(token: str) -> int:
-    try:
-        return int(token.partition("=")[2])
-    except ValueError as exc:
-        raise InputError(f"bad header token {token!r}") from exc
+def data_lines(
+    text: str, header: dict, ints: Sequence[str], modes: Sequence[str]
+) -> Iterator[str]:
+    """Yield the stripped, non-blank lines of a text file that are not headers.
+
+    A line starting with '#' is a header of key=value tokens: a key in ints is
+    stored in header as an int, mode= when its value is one of modes, and
+    other tokens are comments.  header thus holds the values in force at
+    each yielded line.  A bad value raises InputError.
+    """
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line.startswith("#"):
+            if line:
+                yield line
+            continue
+        for token in line[1:].split():
+            key, sep, value = token.partition("=")
+            if sep and key in ints:
+                try:
+                    header[key] = int(value)
+                except ValueError as exc:
+                    raise InputError(f"bad header token {token!r}") from exc
+            elif sep and key == "mode":
+                if value not in modes:
+                    raise InputError(f"unknown mode {value!r} in header")
+                header[key] = value
 
 
 def parse_sequences(text: str) -> list[ColorSequence]:
@@ -247,28 +272,13 @@ def parse_sequences(text: str) -> list[ColorSequence]:
     preceding header default to linear with the palette inferred from the
     colors present.
     """
-    header_k: int | None = None
-    header_mode: Mode | None = None
+    header: dict = {}
     out: list[ColorSequence] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("k="):
-                    header_k = _header_int(token)
-                elif token.startswith("mode="):
-                    value = token[5:]
-                    if value not in ("linear", "cyclic"):
-                        raise InputError(f"unknown mode {value!r} in header")
-                    header_mode = value
-            continue
+    for line in data_lines(text, header, ("k",), ("linear", "cyclic")):
         try:
             colors = tuple(int(tok) for tok in line.split())
         except ValueError as exc:
             raise InputError(f"bad sequence line {line!r}") from exc
-        k = header_k if header_k is not None else max(colors)
-        mode: Mode = header_mode if header_mode is not None else "linear"
-        out.append(ColorSequence(colors, k, mode))
+        k = header["k"] if "k" in header else max(colors)
+        out.append(ColorSequence(colors, k, header.get("mode", "linear")))
     return out

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .bounds import min_colors_1d, min_colors_2d
-from .construct import build_m2, build_m3
+from .bounds import gain_record
+from .construct import build, cyclic_length, palettes
 from .crossing import compose_for_m
 from .errors import InputError, TrackingError, UnsupportedParameterError
 from .grid2d import (
@@ -72,15 +72,7 @@ class SimConfig:
             raise InputError("p_move must lie in [0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "cells_per_side": self.cells_per_side,
-            "block": self.block,
-            "slots": self.slots,
-            "bits_per_slot": self.bits_per_slot,
-            "seed": self.seed,
-            "trajectory": self.trajectory,
-            "p_move": self.p_move,
-        }
+        return asdict(self)
 
 
 def parse_trajectory(text: str) -> tuple[str, float]:
@@ -136,27 +128,20 @@ def axis_sequence(side: int, m: int, max_colors: int = 64) -> ColorSequence:
         raise InputError("axis shorter than the window")
     if m == 1:
         return ColorSequence(tuple(range(1, side + 1)), side, "linear")
-    base: ColorSequence | None = None
-    if m == 2:
-        for k in range(3, max_colors + 1):
-            cut_len = math.comb(k + 1, 2) - (k // 2 if k % 2 == 0 else 0) + 1
-            if cut_len >= side:
-                base = build_m2(k)
-                break
-    elif m == 3:
-        for k in range(3, max_colors + 1, 3):
-            if math.comb(k + 2, 3) - k // 3 + 2 >= side:
-                base = build_m3(k)
-                break
-    else:
+    if m > 3:
         base = compose_for_m(
             m, max_colors=max_colors, min_length=max(1, side - m + 1)
         ).sequence
-    if base is None:
-        raise UnsupportedParameterError(
-            f"no window-{m} construction reaches length {side} "
-            f"within {max_colors} colors"
-        )
+    else:
+        for k in palettes(m, max_colors):
+            if cyclic_length(m, k) + m - 1 >= side:  # the cut adds m-1 symbols
+                base = build(m, k)
+                break
+        else:
+            raise UnsupportedParameterError(
+                f"no window-{m} construction reaches length {side} "
+                f"within {max_colors} colors"
+            )
     cut = t_cut(base, len(base) - 1, m)
     return ColorSequence(cut.colors[:side], base.palette_size, "linear")
 
@@ -205,14 +190,9 @@ class SlotRecord:
     bits_per_channel: int
 
     def to_json(self) -> str:
-        payload = {
-            "slot": self.slot,
-            "cell": list(self.cell),
-            "sensors": [list(p) for p in self.sensors],
-            "report": list(self.report),
-            "decoded": list(self.decoded),
-            "bits_per_channel": self.bits_per_channel,
-        }
+        # field by field: asdict deep-copies at five times the cost, and
+        # vars() leaves every record holding a dict of its own
+        payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -245,23 +225,7 @@ class SimReport:
     decode_matches: int
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config.as_dict(),
-            "side": self.side,
-            "axis_colors": self.axis_colors,
-            "colors": self.colors,
-            "codebook_size": self.codebook_size,
-            "baseline_bits": self.baseline_bits,
-            "color_bits": self.color_bits,
-            "min_colors_bound": self.min_colors_bound,
-            "baseline_feasible": self.baseline_feasible,
-            "color_feasible": self.color_feasible,
-            "color_feasible_deployed": self.color_feasible_deployed,
-            "gain_bound": self.gain_bound,
-            "gain_wire": self.gain_wire,
-            "accuracy": self.accuracy,
-            "decode_matches": self.decode_matches,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
@@ -294,12 +258,8 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
 
     baseline_bits = math.ceil(math.log2(C * C)) if C > 1 else 0
     color_bits = math.ceil(math.log2(placement.colors)) if placement.colors > 1 else 0
-    k_bound = min_colors_2d(placement.side, placement.side, m, m)
-    k_axis_bound = min_colors_1d(placement.side, m)
-    side_log = math.log2(placement.side) if placement.side > 1 else 0.0
-    gain_bound = (
-        (2 * math.log2(k_axis_bound)) / (2 * side_log) if side_log else 1.0
-    )
+    bound = gain_record(placement.side, placement.side, m, m)
+    k_bound = bound.k_M * bound.k_N
 
     records: list[SlotRecord] = []
     matches = 0
@@ -337,7 +297,7 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
         color_feasible=math.log2(k_bound) <= config.bits_per_slot,
         color_feasible_deployed=math.log2(placement.colors)
         <= config.bits_per_slot,
-        gain_bound=gain_bound,
+        gain_bound=bound.gain,
         gain_wire=(color_bits / baseline_bits) if baseline_bits else 1.0,
         accuracy=matches / config.slots,
         decode_matches=matches,

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from vectors import BASE_K6, PROBE_15
 
@@ -125,6 +128,11 @@ class TestTables:
         assert code == 0
         assert "2,2,50,50,10,10,0.588" in out
         assert "4,3,50,50,5,6,0.434" in out
+
+    def test_gain_on_one_by_one_grid(self, capsys):
+        code, out, err = run_cli(capsys, "gain", "--sizes", "1", "--blocks", "1")
+        assert (code, err) == (0, "")
+        assert out == "m,n,M,N,k_M,k_N,gain\n1,1,1,1,1,1,1.000\n"
 
     def test_bounds_json(self, capsys):
         code, out, _ = run_cli(
@@ -260,3 +268,59 @@ class TestDeterminism:
             first = run_cli(capsys, *argv)
             second = run_cli(capsys, *argv)
             assert first == second and first[0] == 0
+
+
+GOLDEN_WORDS = (
+    "1 2 2 3 3 1\n"
+    "# k=5 mode=cyclic\n"
+    "1 1 2 2 3 3 4 4 5 5 1 3 5 2 4\n"
+    "# mode=linear\n"
+    "1 2 3 1 2 3\n"
+)
+
+# sha256 of stdout, recorded before the header, payload and length-formula
+# code was consolidated; any refactor must leave every byte in place.
+GOLDEN_STDOUT = {
+    "bounds --m 2 --k-range 1..12 --format json":
+        "bd271117dfd567d40b03dee08e1b3191d213d802a1d2de2e55642bc8194d6011",
+    "bounds --m 3 --k-range 3..12 --format json":
+        "052f017b245b566019b34aee824811fe0b905ae0fcf9a823d8e3ba4d272a3354",
+    "bounds --m 4 --k-range 5..9 --format json":
+        "62268d2d316fc9865223fedbf85f4dc3715eabf5fbedd8f9e34bde204607a1e6",
+    "bounds --m 6 --k-range 11..16 --format json":
+        "d717e50e343a23f5cbf2c199c61f242af094d34c895c3ab1af726d3705377ff0",
+    "kmin --m 1,2,3,4 --sizes 10,50,200,1000 --format json":
+        "2c7de29207aa19aed9459133a71c04a6a38434ea015ff30c03dc8d499bc477c2",
+    "gain --sizes 10,50,200 --blocks 1,2,3,4x3 --format json":
+        "19da1640e8835ac8c5fb234149cc6ae49c3a50e2d598075b413235f458da7db2",
+    "verify --m 2 --format json WORDS":
+        "a2b63b394840de9436861387204f0590bcefbf90b207b4933321f3ccf90a3e49",
+    "verify --m 3 --cyclic --format json WORDS":
+        "2e46a4a9bb7762c18ce26d4a426cec72f2bab3523af615fb722f791003a8cef4",
+    "compose --m 7":
+        "44ceb9194687b8e2ebf2af2b994309972b215dd927dfd82942bae5029058cbf7",
+    "simulate --cells 6 --m 2 --slots 25 --bits 8 --seed 11 --records -":
+        "6a85e99660a4251cb9046c65e31a87a44b7b91d1cf92223de2aa7af9419f459f",
+    "simulate --cells 5 --m 3 --slots 10 --bits 3 --seed 2 --traj walk:0.7 --records -":
+        "be623fc710d69670bae51afcb2ea08cf7ff9ae6de621a9d6f343ddd201093fd1",
+    "simulate --cells 4 --m 1 --slots 10 --bits 4 --seed 3 --records -":
+        "6643cdee5967fcc64526b1b2a358b10e1e348d0ac2601c1085253c9ea5cb52a9",
+    "simulate --cells 4 --m 4 --slots 5 --bits 8 --seed 4 --records -":
+        "23bb01523d5486f7c1d6e025467aa55e1688ff17abdc38abf6fc109e3378e0e3",
+    "simulate --cells 1 --m 1 --slots 3 --bits 1 --seed 0 --records -":
+        "f80dc14e97e3b80dad6452ee1b0a3c17f0d1850cef33fbc41faf76d694439a47",
+    "simulate --cells 3 --m 2 --slots 4 --bits 2 --seed 9 --traj walk --records -":
+        "cee80e3ab21f75d8f076e359da308f7da2cd79a215b5dab0e48aede3a2a1a034",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+    def test_stdout_bytes_unchanged(self, command, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text(GOLDEN_WORDS)
+        argv = [str(words) if tok == "WORDS" else tok for tok in command.split()]
+        code, out, err = run_cli(capsys, *argv)
+        assert err == ""
+        assert code == (1 if command.startswith("verify") else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -9,12 +9,15 @@ from mcgc.construct import (
     RecursionPair,
     _y_word,
     _z_word,
+    build,
     build_m1,
     build_m2,
     build_m3,
     build_m3_pair,
     canonical_one_factor,
+    cyclic_length,
     pad_with_new_colors,
+    palettes,
     repeat_first_occurrences,
 )
 from mcgc.errors import InputError, UnsupportedParameterError
@@ -161,3 +164,20 @@ class TestPadWithNewColors:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             pad_with_new_colors(build_m2(5), 2, -1)
+
+
+class TestBaseDispatch:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_listed_palette_builds_at_its_length(self, m):
+        ks = list(palettes(m, 12))
+        assert ks == {1: list(range(1, 13)), 2: list(range(3, 13)), 3: [3, 6, 9, 12]}[m]
+        for k in ks:
+            seq = build(m, k)
+            assert len(seq) == cyclic_length(m, k)
+            assert seq == {1: build_m1, 2: build_m2, 3: build_m3}[m](k)
+
+    @pytest.mark.parametrize("call", [build, cyclic_length, palettes])
+    def test_windows_without_a_generator_rejected(self, call):
+        for m in (0, 4):
+            with pytest.raises(InputError, match="no base construction"):
+                call(m, 6)

@@ -155,6 +155,14 @@ class TestCompose:
         with pytest.raises(ComposeError, match="2\\+2"):
             compose_for_m(4, max_colors=5)
 
+    def test_ten_factor_window_stays_within_budget(self):
+        # the palette tuples are pruned once they exceed the budget, so ten
+        # window-3 factors are searched in well under a second
+        result = compose_for_m(30)
+        assert result.split == (3,) * 10
+        assert result.factor_palettes == (3,) * 10
+        assert result.sequence.palette_size == 30
+
     def test_single_factor_windows(self):
         assert len(compose_for_m(3).sequence) == 9
         assert len(compose_for_m(2).sequence) == 6

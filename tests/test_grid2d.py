@@ -235,3 +235,30 @@ class TestGridFiles:
     def test_bad_codebook_header_value(self):
         with pytest.raises(InputError, match="n=x"):
             parse_codebook("# m=1 n=x k=2 mode=plain\nkey,x0,y0\n1-0,0,0\n")
+
+    def test_codebook_header_block_size_checked(self):
+        # rows of one color cannot be 2x1 blocks
+        with pytest.raises(InputError, match="codebook header"):
+            parse_codebook("# m=2 n=1 k=2 mode=plain\nkey,x0,y0\n1-0,0,0\n")
+
+    def test_codebook_header_palette_checked(self):
+        with pytest.raises(InputError, match="codebook header"):
+            parse_codebook("# m=1 n=1 k=9 mode=plain\nkey,x0,y0\n1-0,0,0\n0-1,0,1\n")
+
+    def test_codebook_without_header_takes_rows(self):
+        cb = parse_codebook("key,x0,y0\n2-0,0,0\n1-1,0,1\n")
+        assert (cb.block_m, cb.block_n, cb.palette_size) == (2, 1, 2)
+
+    @pytest.mark.parametrize("header", ["M=3 N=2", "M=2 N=3", "M=3", "N=1"])
+    def test_grid_header_shape_checked(self, header):
+        with pytest.raises(InputError, match="2x2 rows"):
+            parse_grid(f"# {header} k=2 mode=plain\n1,2\n2,1\n")
+
+    def test_grid_header_shape_optional(self):
+        assert parse_grid("# k=2\n1,2\n2,1\n").M == 2
+
+    def test_unknown_mode_header_rejected(self):
+        with pytest.raises(InputError, match="unknown mode"):
+            parse_grid("# mode=torus\n1,2\n")
+        with pytest.raises(InputError, match="unknown mode"):
+            parse_codebook("# m=1 n=1 mode=torus\nkey,x0,y0\n1-0,0,0\n")

@@ -1,12 +1,28 @@
-"""Property tests: the window-key kernel against the naive quadratic oracles."""
+"""Property tests: the window-key kernel against the naive quadratic oracles,
+and format-then-parse round trips of the sequence, grid and codebook files."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_distinguishable, naive_grid_distinguishable
 
-from mcgc.grid2d import ColorGrid2D, check_grid_distinguishable, product_grid
-from mcgc.sequences import ColorSequence, check_distinguishable
+from mcgc.grid2d import (
+    Codebook,
+    ColorGrid2D,
+    check_grid_distinguishable,
+    format_codebook,
+    format_grid,
+    parse_codebook,
+    parse_grid,
+    product_grid,
+)
+from mcgc.sequences import (
+    ColorSequence,
+    Multiset,
+    check_distinguishable,
+    format_sequence,
+    parse_sequences,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -56,3 +72,61 @@ def test_grid_check_matches_naive_oracle(case):
     g, m, n = case
     report = check_grid_distinguishable(g, m, n)
     assert (report.ok, report.collision) == naive_grid_distinguishable(g, m, n)
+
+
+# Comment words as the commands write them: free words and key=value tokens
+# whose keys are not header keys of the sequence format.
+COMMENT_TOKEN = st.one_of(
+    st.sampled_from(["search", "proven", "cap-limited", "stage", "0:", "compose"]),
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["m", "max", "cap", "ceiling", "split", "d", "L", "palettes"]),
+        st.integers(0, 500),
+    ),
+)
+COMMENTS = st.lists(st.lists(COMMENT_TOKEN, max_size=5).map(" ".join), max_size=3)
+
+
+@st.composite
+def split_header(draw, text):
+    """The same file with its first '#' line split over several header lines,
+    with blank lines between."""
+    first, rest = text.split("\n", 1)
+    tokens = first[1:].split()
+    cuts = sorted(draw(st.sets(st.integers(1, len(tokens) - 1), max_size=3)))
+    groups = [tokens[i:j] for i, j in zip([0, *cuts], [*cuts, len(tokens)])]
+    sep = draw(st.sampled_from(["\n", "\n\n", "\n  \n"]))
+    return sep.join("# " + " ".join(group) for group in groups) + "\n" + rest
+
+
+@st.composite
+def codebooks(draw):
+    m, n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    block = st.lists(st.integers(1, k), min_size=m * n, max_size=m * n)
+    key = block.map(lambda colors: Multiset.of(colors, k).counts)
+    keys = draw(st.lists(key, min_size=1, max_size=12))
+    tags = st.tuples(st.integers(0, 50), st.integers(0, 50))
+    entries = {key: draw(tags) for key in keys}
+    return Codebook(m, n, k, draw(st.sampled_from(("plain", "cyclic"))), entries)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(words(), COMMENTS), min_size=1, max_size=4))
+def test_sequence_files_round_trip(cases):
+    text = "".join(format_sequence(seq, comments) for seq, comments in cases)
+    assert parse_sequences(text) == [seq for seq, _ in cases]
+
+
+@PROPERTY
+@given(grid_and_block(), st.data())
+def test_grid_files_round_trip(case, data):
+    g = case[0]
+    assert parse_grid(format_grid(g)) == g
+    assert parse_grid(data.draw(split_header(format_grid(g)))) == g
+
+
+@PROPERTY
+@given(codebooks(), st.data())
+def test_codebook_files_round_trip(cb, data):
+    assert parse_codebook(format_codebook(cb)) == cb
+    assert parse_codebook(data.draw(split_header(format_codebook(cb)))) == cb
