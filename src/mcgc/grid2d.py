@@ -4,13 +4,16 @@ A grid coloring is (m, n)-distinguishable when the multiset of colors in
 each m x n block identifies the block's tag point.  The product of two 1D
 colorings (cells carry the pair of axis colors, flattened to one id)
 inherits distinguishability from its axes, which is how large 2D codes are
-built from 1D ones.
+built from 1D ones.  Its codebook (``product_codebook``) is therefore kept
+as two tables of axis windows rather than one count vector per block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Literal
+from itertools import chain, compress, repeat
+from typing import Iterator, Literal
 
 from .bounds import multichoose
 from .errors import (
@@ -40,6 +43,7 @@ __all__ = [
     "check_grid_distinguishable",
     "Codebook",
     "build_codebook",
+    "product_codebook",
     "decode",
     "format_grid",
     "parse_grid",
@@ -97,20 +101,20 @@ def product_grid(s1: ColorSequence, s2: ColorSequence) -> ColorGrid2D:
     only when both axes are cyclic.
     """
     k2 = s2.palette_size
-    cells = tuple(
-        tuple(flat_pair(a, b, k2) for b in s2.colors) for a in s1.colors
-    )
-    mode: GridMode = (
-        "cyclic" if s1.mode == "cyclic" and s2.mode == "cyclic" else "plain"
-    )
-    return ColorGrid2D(cells, s1.palette_size * k2, mode)
+    rows = {a: tuple(flat_pair(a, b, k2) for b in s2.colors) for a in set(s1.colors)}
+    cells = tuple(rows[a] for a in s1.colors)  # equal rows share one tuple
+    return ColorGrid2D(cells, s1.palette_size * k2, _product_mode(s1, s2))
 
 
-def _require_block(g: ColorGrid2D, m: int, n: int) -> None:
+def _product_mode(s1: ColorSequence, s2: ColorSequence) -> GridMode:
+    return "cyclic" if s1.mode == "cyclic" and s2.mode == "cyclic" else "plain"
+
+
+def _require_block(M: int, N: int, m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise InputError("block dimensions must be at least 1")
-    if m > g.M or n > g.N:
-        raise InputError(f"block {m}x{n} larger than grid {g.M}x{g.N}")
+    if m > M or n > N:
+        raise InputError(f"block {m}x{n} larger than grid {M}x{N}")
 
 
 def block_starts(g: ColorGrid2D, m: int, n: int) -> list[tuple[int, int]]:
@@ -119,32 +123,15 @@ def block_starts(g: ColorGrid2D, m: int, n: int) -> list[tuple[int, int]]:
     Plain grids include x0 = M-m and y0 = N-n, the last positions where a
     block still fits.
     """
-    _require_block(g, m, n)
+    _require_block(g.M, g.N, m, n)
     if g.mode == "cyclic":
         return [(x, y) for x in range(g.M) for y in range(g.N)]
     return [(x, y) for x in range(g.M - m + 1) for y in range(g.N - n + 1)]
 
 
-def _block_counts(
-    g: ColorGrid2D, x0: int, y0: int, m: int, n: int
-) -> tuple[int, ...]:
-    counts = [0] * g.palette_size
-    if g.mode == "cyclic":
-        for i in range(m):
-            row = g.cells[(x0 + i) % g.M]
-            for j in range(n):
-                counts[row[(y0 + j) % g.N] - 1] += 1
-    else:
-        for i in range(m):
-            row = g.cells[x0 + i]
-            for c in row[y0 : y0 + n]:
-                counts[c - 1] += 1
-    return tuple(counts)
-
-
 def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset:
     """Multiset of the m*n colors in the block tagged at (x0, y0)."""
-    _require_block(g, m, n)
+    _require_block(g.M, g.N, m, n)
     if g.mode == "cyclic":
         if not (0 <= x0 < g.M and 0 <= y0 < g.N):
             raise InputError(f"tag point ({x0}, {y0}) outside the grid")
@@ -152,36 +139,47 @@ def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset
         raise InputError(
             f"tag point ({x0}, {y0}) outside the {m}x{n} coding area"
         )
-    return Multiset(_block_counts(g, x0, y0, m, n))
+    rows = [g.cells[(x0 + i) % g.M] for i in range(m)]
+    return Multiset.of(
+        (row[(y0 + j) % g.N] for row in rows for j in range(n)), g.palette_size
+    )
+
+
+def _block_keys(g: ColorGrid2D, m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Sorted colors of every block, in ``block_starts`` order.
+
+    Each band of m rows, read column by column, is one word in which the
+    block at (x0, y0) is the length-m*n window starting at y0*m.
+    """
+    cyclic = g.mode == "cyclic"
+    rows = g.cells + g.cells[: m - 1] if cyclic else g.cells
+    for x0 in range(len(rows) - m + 1):
+        band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
+        yield from window_keys(band, m * n, cyclic, step=m)
 
 
 def check_grid_distinguishable(
     g: ColorGrid2D, m: int, n: int
 ) -> DistinguishabilityReport:
-    """Are all block multisets over the coding area pairwise distinct?
-
-    Each band of m rows, read column by column, is one word in which the
-    block at (x0, y0) is the length-m*n window starting at y0*m.
-    """
+    """Are all block multisets over the coding area pairwise distinct?"""
     starts = block_starts(g, m, n)
-    cyclic = g.mode == "cyclic"
-    rows = g.cells + g.cells[: m - 1] if cyclic else g.cells
-    keys: list[tuple[int, ...]] = []
-    for x0 in range(len(rows) - m + 1):
-        band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
-        keys += window_keys(band, m * n, cyclic, step=m)
-    return keyed_report(keys, starts)
+    return keyed_report(list(_block_keys(g, m, n)), starts)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Injective map from block multiset keys to their tag points."""
+    """Injective map from block multisets to their tag points.
+
+    ``entries`` maps each block's count vector to its tag point: a dict for
+    ``build_codebook``, and a read-only mapping over two axis tables for
+    ``product_codebook``, which holds no count vectors at all.
+    """
 
     block_m: int
     block_n: int
     palette_size: int
     mode: GridMode
-    entries: dict
+    entries: Mapping
 
     @property
     def size(self) -> int:
@@ -191,25 +189,114 @@ class Codebook:
 def build_codebook(g: ColorGrid2D, m: int, n: int) -> Codebook:
     """Map every coding-area block's multiset to its tag point.
 
-    Fails with the two colliding positions when the grid is not
-    (m, n)-distinguishable.
+    Fails with the first block, in ``block_starts`` order, whose multiset an
+    earlier block already has.
     """
     entries: dict[tuple[int, ...], tuple[int, int]] = {}
-    for x0, y0 in block_starts(g, m, n):
-        key = _block_counts(g, x0, y0, m, n)
-        if key in entries:
-            raise CollisionError(entries[key], (x0, y0))
-        entries[key] = (x0, y0)
+    for tag, key in zip(block_starts(g, m, n), _block_keys(g, m, n)):
+        first = entries.setdefault(Multiset.of(key, g.palette_size).counts, tag)
+        if first != tag:
+            raise CollisionError(first, tag)
     if len(entries) > multichoose(g.palette_size, m * n):
         raise AssertionError("more codewords than multisets exist; impossible")
     return Codebook(m, n, g.palette_size, g.mode, entries)
 
 
+def _axis_table(keys: list[tuple[int, ...]]) -> tuple[dict, tuple[int, int] | None]:
+    """Window key -> start, and the first (earlier, repeat) pair of starts
+    with equal keys, if any."""
+    table: dict[tuple[int, ...], int] = {}
+    for t, key in enumerate(keys):
+        first = table.setdefault(key, t)
+        if first != t:
+            return table, (first, t)
+    return table, None
+
+
+class _ProductEntries(Mapping):
+    """Count vector -> tag point of a product grid's blocks, read through
+    the axis tables.
+
+    A block's colors are the pairs (a, b) of its row window A and column
+    window B, so its multiset projects onto A repeated n times and B
+    repeated m times.  The projections find the one candidate block; the
+    candidate's own colors must then equal the multiset, since the
+    projections alone do not fix the pairs.
+    """
+
+    def __init__(self, rows: dict, cols: dict, k1: int, k2: int, m: int, n: int):
+        self._rows, self._cols = rows, cols
+        self._k2, self._m, self._n, self._size = k2, m, n, m * n
+        # flat color c+1 pairs row color c // k2 + 1 with column color c % k2 + 1
+        self._palette = tuple(range(k1 * k2))
+        self._row_of = tuple(c // k2 + 1 for c in self._palette)
+        self._col_of = tuple(c % k2 + 1 for c in self._palette)
+
+    def get(self, key, default=None):
+        if len(key) != len(self._palette):
+            return default
+        present = list(compress(self._palette, key))
+        mults = list(map(key.__getitem__, present))
+        if sum(mults) != self._size:
+            return default
+        colors = list(chain.from_iterable(map(repeat, present, mults)))
+        row = tuple(map(self._row_of.__getitem__, colors[:: self._n]))
+        col = tuple(sorted(map(self._col_of.__getitem__, colors))[:: self._m])
+        x0 = self._rows.get(row)
+        y0 = self._cols.get(col)
+        if x0 is None or y0 is None:
+            return default
+        k2 = self._k2
+        if sorted([(a - 1) * k2 + b - 1 for a in row for b in col]) != colors:
+            return default
+        return x0, y0
+
+    def __getitem__(self, key):
+        pos = self.get(key)
+        if pos is None:
+            raise KeyError(key)
+        return pos
+
+    def __iter__(self):
+        k2, k = self._k2, len(self._palette)
+        for row in self._rows:
+            for col in self._cols:
+                yield Multiset.of([(a - 1) * k2 + b for a in row for b in col], k).counts
+
+    def __len__(self) -> int:
+        return len(self._rows) * len(self._cols)
+
+
+def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Codebook:
+    """``build_codebook(product_grid(s1, s2), m, n)`` kept as two axis tables.
+
+    A product block's multiset fixes its row and column windows, so the
+    codebook holds the M-m+1 windows of s1 and the N-n+1 windows of s2
+    (every window when the grid is cyclic) instead of one count vector per
+    block.  It equals the grid's codebook entry for entry and fails the same
+    way: a collision names the first repeated block in ``block_starts``
+    order, which lies in the first band when s2 repeats a window.
+    """
+    _require_block(len(s1), len(s2), m, n)
+    mode = _product_mode(s1, s2)
+    rows, row_pair = _axis_table(window_keys(s1.colors, m, mode == "cyclic"))
+    cols, col_pair = _axis_table(window_keys(s2.colors, n, mode == "cyclic"))
+    if col_pair is not None:
+        raise CollisionError((0, col_pair[0]), (0, col_pair[1]))
+    if row_pair is not None:
+        raise CollisionError((row_pair[0], 0), (row_pair[1], 0))
+    entries = _ProductEntries(rows, cols, s1.palette_size, s2.palette_size, m, n)
+    return Codebook(m, n, s1.palette_size * s2.palette_size, mode, entries)
+
+
 def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
     """Tag point of the block whose color multiset is s.
 
-    Malformed input (wrong palette or cardinality) is distinguished from a
-    well-formed multiset that simply is not a code symbol.
+    The lookup is ``cb.entries.get(s.counts)``: one dict probe for a grid's
+    codebook; for a product codebook, one probe in each axis table and a
+    check of the candidate block's colors.  Malformed input (wrong palette
+    or cardinality) is distinguished from a well-formed multiset that simply
+    is not a code symbol.
     """
     if s.palette_size != cb.palette_size:
         raise CardinalityError(

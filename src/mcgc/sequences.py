@@ -52,7 +52,7 @@ class Multiset:
     def __post_init__(self):
         if not self.counts:
             raise InputError("multiset needs a palette of at least one color")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise InputError("negative multiplicity in count vector")
 
     @classmethod
@@ -64,7 +64,11 @@ class Multiset:
             if not 1 <= color <= palette_size:
                 raise InputError(f"color {color} outside palette [1..{palette_size}]")
             counts[color - 1] += 1
-        return cls(tuple(counts))
+        # Counts of a non-empty palette are valid by construction, so the
+        # scan in __post_init__ is skipped: it would cost more than the count.
+        ms = object.__new__(cls)
+        object.__setattr__(ms, "counts", tuple(counts))
+        return ms
 
     @classmethod
     def from_key(cls, key: str) -> "Multiset":

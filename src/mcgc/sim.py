@@ -23,8 +23,8 @@ from .errors import InputError, TrackingError, UnsupportedParameterError
 from .grid2d import (
     Codebook,
     ColorGrid2D,
-    build_codebook,
     decode,
+    product_codebook,
     product_grid,
 )
 from .sequences import ColorSequence, Multiset, t_cut
@@ -89,8 +89,12 @@ def parse_trajectory(text: str) -> tuple[str, float]:
     raise InputError(f"unknown trajectory {text!r}")
 
 
+_REQUIRED_KEYS = {"cells", "m", "slots", "bits", "seed"}
+
+
 def parse_config(text: str) -> SimConfig:
-    """Flat key=value config: cells, m, slots, bits, seed, traj."""
+    """Flat key=value config: cells, m, slots, bits, seed, traj; any other
+    key is refused."""
     values: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -99,8 +103,11 @@ def parse_config(text: str) -> SimConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise InputError(f"bad config line {line!r}")
-        values[key.strip()] = value.strip()
-    missing = {"cells", "m", "slots", "bits", "seed"} - values.keys()
+        key = key.strip()
+        if key not in _REQUIRED_KEYS and key != "traj":
+            raise InputError(f"unknown config key {key!r}")
+        values[key] = value.strip()
+    missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise InputError(f"config missing keys: {', '.join(sorted(missing))}")
     trajectory, p_move = parse_trajectory(values.get("traj", "uniform"))
@@ -169,7 +176,7 @@ def deploy(config: SimConfig) -> Deployment:
     side = config.cells_per_side + config.block - 1
     axis = axis_sequence(side, config.block)
     grid = product_grid(axis, axis)
-    codebook = build_codebook(grid, config.block, config.block)
+    codebook = product_codebook(axis, axis, config.block, config.block)
     expected = config.cells_per_side**2
     if codebook.size != expected:
         raise TrackingError(

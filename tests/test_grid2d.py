@@ -22,6 +22,7 @@ from mcgc.grid2d import (
     format_grid,
     parse_codebook,
     parse_grid,
+    product_codebook,
     product_grid,
 )
 from mcgc.sequences import (
@@ -179,6 +180,33 @@ class TestCodebook:
             build_codebook(uniform_grid(3), 2, 2)
         assert err.value.first == (0, 0)
         assert err.value.second == (0, 1)
+
+    def test_product_codebook_collision_is_the_first_repeated_block(self):
+        repeating = ColorSequence((1, 2, 1, 2), 2, "linear")  # windows 0, 1, 2 equal
+        distinct = ColorSequence((1, 2, 3), 3, "linear")
+        with pytest.raises(CollisionError) as err:
+            product_codebook(repeating, distinct, 2, 1)
+        assert (err.value.first, err.value.second) == ((0, 0), (1, 0))
+        # a repeated column window shows in the first band of blocks, before
+        # any repeated row window
+        with pytest.raises(CollisionError) as err:
+            product_codebook(repeating, repeating, 2, 2)
+        assert (err.value.first, err.value.second) == ((0, 0), (0, 1))
+
+    def test_product_codebook_rejects_oversized_blocks(self):
+        axis = linear_pairs_axis()
+        with pytest.raises(InputError, match="larger than grid 9x9"):
+            product_codebook(axis, axis, 10, 2)
+        with pytest.raises(InputError, match="at least 1"):
+            product_codebook(axis, axis, 2, 0)
+
+    def test_product_codebook_refuses_negative_counts(self):
+        axis = linear_pairs_axis()
+        cb = product_codebook(axis, axis, 2, 2)
+        counts = list(block_multiset(product_grid(axis, axis), 0, 0, 2, 2).counts)
+        assert tuple(counts) in cb.entries
+        counts[counts.index(0)] = -1  # the block's colors plus a negative count
+        assert tuple(counts) not in cb.entries
 
     def test_decode_is_permutation_invariant(self, rng):
         axis = linear_pairs_axis()

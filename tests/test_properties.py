@@ -1,19 +1,28 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
-and format-then-parse round trips of the sequence, grid and codebook files."""
+the axis-backed product codebook against the grid's codebook, and
+format-then-parse round trips of the sequence, grid and codebook files."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_distinguishable, naive_grid_distinguishable
 
+from mcgc.construct import build
+from mcgc.errors import McgcError, UnknownBlockError
 from mcgc.grid2d import (
     Codebook,
     ColorGrid2D,
+    block_multiset,
+    block_starts,
+    build_codebook,
     check_grid_distinguishable,
+    decode,
     format_codebook,
     format_grid,
     parse_codebook,
     parse_grid,
+    product_codebook,
     product_grid,
 )
 from mcgc.sequences import (
@@ -72,6 +81,66 @@ def test_grid_check_matches_naive_oracle(case):
     g, m, n = case
     report = check_grid_distinguishable(g, m, n)
     assert (report.ok, report.collision) == naive_grid_distinguishable(g, m, n)
+
+
+# Codes of windows 1 to 3: axes that are distinguishable at their window.
+CODES = [build(1, 4), build(2, 3), build(2, 4), build(3, 3)]
+
+
+@st.composite
+def axes(draw):
+    """A short random word or, twice as often, a prefix of a code; linear or
+    cyclic."""
+    if draw(st.integers(0, 2)) == 0:
+        seq = draw(words(max_k=4, max_len=7))
+    else:
+        code = draw(st.sampled_from(CODES))
+        size = draw(st.integers(1, len(code)))
+        seq = ColorSequence(code.colors[:size], code.palette_size)
+    return seq.with_mode(draw(st.sampled_from(("linear", "cyclic"))))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and args of the package error it raised."""
+    try:
+        return fn(*args)
+    except McgcError as exc:
+        return type(exc), exc.args
+
+
+@PROPERTY
+@given(axes(), axes(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_product_codebook_matches_grid_codebook(s1, s2, m, n, data):
+    g = product_grid(s1, s2)
+    want = _outcome(build_codebook, g, m, n)
+    got = _outcome(product_codebook, s1, s2, m, n)
+    if not isinstance(want, Codebook):
+        assert got == want
+        return
+    assert isinstance(got, Codebook)
+    assert got.size == want.size and got == want
+    assert format_codebook(got) == format_codebook(want)
+    queries = [block_multiset(g, x0, y0, m, n) for x0, y0 in block_starts(g, m, n)]
+    block = st.lists(st.integers(1, g.palette_size), min_size=m * n, max_size=m * n)
+    queries += [Multiset.of(colors, g.palette_size) for colors in data.draw(
+        st.lists(block, max_size=20))]
+    for query in queries:
+        assert _outcome(decode, got, query) == _outcome(decode, want, query)
+
+
+def test_product_codebook_checks_the_pairs_not_only_the_projections():
+    # the block at (0, 0) holds the pairs (1,1), (1,2), (2,1), (2,2); the
+    # multisets {(1,1), (2,2)} and {(1,2), (2,1)}, each twice, have the same
+    # row and column projections but are no block
+    axis = ColorSequence((1, 2, 2), 2, "linear")
+    cb = product_codebook(axis, axis, 2, 2)
+    assert decode(cb, Multiset.of([1, 2, 3, 4], 4)) == (0, 0)
+    for colors in ([1, 1, 4, 4], [2, 2, 3, 3]):
+        query = Multiset.of(colors, 4)
+        with pytest.raises(UnknownBlockError, match="is not a code symbol"):
+            decode(cb, query)
+        assert query.counts not in cb.entries
+    assert cb == build_codebook(product_grid(axis, axis), 2, 2)
 
 
 # Comment words as the commands write them: free words and key=value tokens

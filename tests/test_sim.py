@@ -1,10 +1,12 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from mcgc.bounds import min_colors_1d
 from mcgc.errors import InputError
-from mcgc.grid2d import block_starts
+from mcgc.grid2d import block_multiset, block_starts, decode
 from mcgc.sequences import check_distinguishable
 from mcgc.sim import (
     SimConfig,
@@ -44,6 +46,12 @@ class TestConfig:
         with pytest.raises(InputError, match="seed"):
             parse_config("cells=6\nm=2\nslots=10\nbits=8\n")
 
+    def test_config_file_unknown_key(self):
+        # the trajectory key is traj; a misspelt key must not fall back to uniform
+        text = "cells=6\nm=2\nslots=10\nbits=8\nseed=1\ntrajectory=walk\n"
+        with pytest.raises(InputError, match="unknown config key 'trajectory'"):
+            parse_config(text)
+
 
 class TestAxisSequence:
     def test_lengths_and_validity(self):
@@ -80,6 +88,21 @@ class TestDeploy:
         assert placement.codebook.size == C * C
         starts = block_starts(placement.grid, m, m)
         assert len(starts) == C * C  # cells are exactly the coding area
+
+    def test_large_field_decodes_through_its_axes(self):
+        tracemalloc.start()
+        try:
+            placement = deploy(SimConfig(1000, 2, 1, 8, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert placement.codebook.size == 10**6
+        rng = random.Random(0)
+        for _ in range(100):
+            x0, y0 = rng.randrange(1000), rng.randrange(1000)
+            block = block_multiset(placement.grid, x0, y0, 2, 2)
+            assert decode(placement.codebook, block) == (x0, y0)
 
     def test_m1_needs_unique_colors(self):
         placement = deploy(SimConfig(6, 1, 1, 8, 0))
