@@ -156,32 +156,28 @@ class ComposeResult:
     plans: tuple[CrossProductPlan, ...]
 
 
-def _base_candidates(m: int, max_colors: int) -> list[tuple[int, int]]:
-    """(k, cyclic length) options for one base factor, ascending k.
-
-    Lengths not divisible by the window are dropped up front; divisibility
-    is a plan precondition.
-    """
-    lengths = ((k, cyclic_length(m, k)) for k in palettes(m, max_colors))
-    return [(k, length) for k, length in lengths if length % m == 0]
-
-
-def _within_budget(menus: list, colors: int):
-    """Every choice of one (k, length) option per menu whose palettes total
-    at most colors, in itertools.product order.  Menus ascend in k, so a
-    branch stops at the first option over budget."""
-    if not menus:
-        yield ()
+def _with_total(menus: list[range], colors: int):
+    """Every choice of one palette per menu whose palettes sum to exactly
+    colors, in itertools.product order.  Menus ascend, so a branch stops
+    once the menus still to come cannot fit in what is left."""
+    first, *rest = menus
+    if not rest:
+        if colors in first:
+            yield (colors,)
         return
-    for k, length in menus[0]:
-        if k > colors:
+    least_rest = sum(menu.start for menu in rest)
+    for k in first:
+        if k + least_rest > colors:
             break
-        for rest in _within_budget(menus[1:], colors - k):
-            yield ((k, length),) + rest
+        for tail in _with_total(rest, colors - k):
+            yield (k,) + tail
 
 
-def _fold_plans(parts: list[int], lengths: list[int]) -> list[CrossProductPlan] | None:
-    """Plans for the left fold, or None when some stage has no valid plan."""
+def _fold_plans(
+    parts: list[int], lengths: list[int]
+) -> tuple[tuple[CrossProductPlan, ...], int] | None:
+    """Plans for the left fold and its final length, or None when some stage
+    has no valid plan.  A single factor has no plans."""
     plans: list[CrossProductPlan] = []
     cur_len, cur_m = lengths[0], parts[0]
     for part, length in zip(parts[1:], lengths[1:]):
@@ -192,50 +188,40 @@ def _fold_plans(parts: list[int], lengths: list[int]) -> list[CrossProductPlan] 
         plans.append(plan)
         cur_m += part
         cur_len = plan.output_length
-    return plans
+    return tuple(plans), cur_len
 
 
 def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeResult:
-    """Build a cyclic m-distinguishable sequence by left-folding
-    interleavings of window-2 and window-3 base sequences.
+    """Build a cyclic m-distinguishable sequence on the fewest colors the
+    window-2 and window-3 constructions reach: one base word for m = 2 or 3,
+    otherwise a left fold of interleavings of such words.
 
     Base sequences keep their native construction lengths (a cyclic
     sequence cannot generally be truncated and stay distinguishable), so
-    the search varies the palette per factor instead.  Candidate palette
-    tuples are tried in ascending total color count, then ascending final
-    length; the first tuple whose every fold admits a valid plan and whose
-    output reaches min_length wins.
+    the search varies the palette per factor instead.  Palette totals are
+    tried in ascending order; at the first total with a tuple whose every
+    fold admits a valid plan and whose output reaches min_length, the
+    shortest such output wins, ties going to the smaller palettes in order.
     """
     if min_length < 1:
         raise InputError("min_length must be at least 1")
     parts = split_window(m)
-    if len(parts) == 1:
-        for k, length in _base_candidates(parts[0], max_colors):
-            if length >= min_length:
-                return ComposeResult(build(parts[0], k), tuple(parts), (k,), ())
-        raise ComposeError(
-            f"no window-{m} base reaches length {min_length} within {max_colors} colors"
-        )
-    menus = [_base_candidates(p, max_colors) for p in parts]
-    candidates = []
-    for combo in _within_budget(menus, max_colors):
-        ks = [k for k, _ in combo]
-        plans = _fold_plans(parts, [length for _, length in combo])
-        if plans is None:
-            continue
-        final_length = plans[-1].output_length
-        if final_length < min_length:
-            continue
-        candidates.append((sum(ks), final_length, tuple(ks), tuple(plans)))
-    if not candidates:
-        raise ComposeError(
-            f"no valid interleaving for split {'+'.join(map(str, parts))} "
-            f"within {max_colors} colors (min length {min_length})"
-        )
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    _, _, ks, plans = candidates[0]
-    seq = build(parts[0], ks[0])
-    for part, k, plan in zip(parts[1:], ks[1:], plans):
-        factor = shift_palette(build(part, k), seq.palette_size)
-        seq = cross(seq, factor, plan)
-    return ComposeResult(seq, tuple(parts), ks, plans)
+    menus = [palettes(p, max_colors) for p in parts]
+    lengths = {(p, k): cyclic_length(p, k) for p, menu in zip(parts, menus) for k in menu}
+    for total in range(max_colors + 1):
+        feasible = []
+        for ks in _with_total(menus, total):
+            fold = _fold_plans(parts, [lengths[pk] for pk in zip(parts, ks)])
+            if fold is not None and fold[1] >= min_length:
+                feasible.append((fold[1], ks, fold[0]))
+        if feasible:
+            _, ks, plans = min(feasible, key=lambda c: c[:2])
+            seq = build(parts[0], ks[0])
+            for part, k, plan in zip(parts[1:], ks[1:], plans):
+                factor = shift_palette(build(part, k), seq.palette_size)
+                seq = cross(seq, factor, plan)
+            return ComposeResult(seq, tuple(parts), ks, plans)
+    raise ComposeError(
+        f"no window-{m} word from split {'+'.join(map(str, parts))} "
+        f"reaches length {min_length} within {max_colors} colors"
+    )

@@ -352,8 +352,8 @@ def format_codebook(cb: Codebook) -> str:
 
 
 def parse_codebook(text: str) -> Codebook:
-    """Read a codebook file; header m*n must match the rows' cardinality and
-    header k their palette."""
+    """Read a codebook file; header m*n must match the rows' cardinality,
+    header k their palette, and no key may appear on two rows."""
     header: dict = {}
     entries: dict[tuple[int, ...], tuple[int, int]] = {}
     for line in data_lines(text, header, ("m", "n", "k"), _GRID_MODES):
@@ -362,9 +362,12 @@ def parse_codebook(text: str) -> Codebook:
         try:
             key_str, x_str, y_str = line.rsplit(",", 2)
             counts = tuple(int(p) for p in key_str.split("-"))
-            entries[counts] = (int(x_str), int(y_str))
+            start = (int(x_str), int(y_str))
         except ValueError as exc:
             raise InputError(f"bad codebook row {line!r}") from exc
+        if counts in entries:
+            raise InputError(f"codebook key {key_str} appears on two rows")
+        entries[counts] = start
     if not entries:
         raise InputError("no codebook rows found")
     palettes = {len(key) for key in entries}

@@ -219,15 +219,15 @@ def t_cut(seq: ColorSequence, t: int, m: int) -> ColorSequence:
     """Linearize a cyclic sequence: cut after position t and repeat m-1 symbols.
 
     Output is the rotation starting at t+1 followed by its own first m-1
-    colors, length len(seq)+m-1.  A cyclic m-distinguishable input yields a
-    linear m-distinguishable output for every t.
+    colors, length len(seq)+m-1, for a window m in 1..len(seq).  A cyclic
+    m-distinguishable input yields a linear m-distinguishable output for
+    every t.
     """
     if seq.mode != "cyclic":
         raise InputError("t_cut requires a cyclic sequence")
     if not 0 <= t < len(seq):
         raise InputError(f"cut position {t} out of range 0..{len(seq) - 1}")
-    if m < 1:
-        raise InputError("window size must be at least 1")
+    _require_window(seq, m)
     rotated = seq.colors[t + 1 :] + seq.colors[: t + 1]
     return ColorSequence(rotated + rotated[: m - 1], seq.palette_size, "linear")
 

@@ -17,9 +17,8 @@ import random
 from dataclasses import asdict, dataclass
 
 from .bounds import gain_record
-from .construct import build, cyclic_length, palettes
 from .crossing import compose_for_m
-from .errors import InputError, TrackingError, UnsupportedParameterError
+from .errors import InputError, TrackingError
 from .grid2d import (
     Codebook,
     ColorGrid2D,
@@ -126,29 +125,18 @@ def parse_config(text: str) -> SimConfig:
 
 
 def axis_sequence(side: int, m: int, max_colors: int = 64) -> ColorSequence:
-    """Linear m-distinguishable word of length side on the fewest colors the
-    explicit constructions reach (a cyclic build, cut open, then prefixed;
-    prefixes of distinguishable words stay distinguishable)."""
+    """Linear m-distinguishable word of length side on the fewest colors
+    compose_for_m reaches (its cyclic word, cut open, then prefixed; prefixes
+    of distinguishable words stay distinguishable).  Beyond max_colors it
+    raises ComposeError."""
     if m < 1:
         raise InputError("window must be at least 1")
     if side < m:
         raise InputError("axis shorter than the window")
     if m == 1:
         return ColorSequence(tuple(range(1, side + 1)), side, "linear")
-    if m > 3:
-        base = compose_for_m(
-            m, max_colors=max_colors, min_length=max(1, side - m + 1)
-        ).sequence
-    else:
-        for k in palettes(m, max_colors):
-            if cyclic_length(m, k) + m - 1 >= side:  # the cut adds m-1 symbols
-                base = build(m, k)
-                break
-        else:
-            raise UnsupportedParameterError(
-                f"no window-{m} construction reaches length {side} "
-                f"within {max_colors} colors"
-            )
+    # the cut adds m-1 symbols
+    base = compose_for_m(m, max_colors=max_colors, min_length=side - m + 1).sequence
     cut = t_cut(base, len(base) - 1, m)
     return ColorSequence(cut.colors[:side], base.palette_size, "linear")
 
@@ -269,7 +257,6 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
     k_bound = bound.k_M * bound.k_N
 
     records: list[SlotRecord] = []
-    matches = 0
     cell: tuple[int, int] | None = None
     for slot in range(config.slots):
         cell = _next_cell(rng, config, cell)
@@ -286,7 +273,6 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
             raise TrackingError(
                 f"slot {slot}: decoded {decoded} but object is at {cell}"
             )
-        matches += 1
         records.append(
             SlotRecord(slot, cell, sensors, tuple(colors), decoded, color_bits)
         )
@@ -306,7 +292,7 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
         <= config.bits_per_slot,
         gain_bound=bound.gain,
         gain_wire=(color_bits / baseline_bits) if baseline_bits else 1.0,
-        accuracy=matches / config.slots,
-        decode_matches=matches,
+        accuracy=1.0,
+        decode_matches=config.slots,
     )
     return report, records

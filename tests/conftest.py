@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from mcgc import construct, crossing
 from mcgc.grid2d import block_starts
 from mcgc.sequences import ColorSequence, window_starts
 
@@ -57,3 +59,15 @@ def random_sequence(rng: random.Random, max_len=30, max_k=6, mode="cyclic"):
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE)
+
+
+@pytest.fixture
+def cached_builds(monkeypatch):
+    """Memoize the base generators and the interleaving for sweeps that build
+    the same words many times over; each is deterministic in its arguments."""
+    for module, name in (
+        (construct, "build_m2"),
+        (construct, "build_m3"),
+        (crossing, "cross"),
+    ):
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name)))

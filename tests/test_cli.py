@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vectors import BASE_K6, PROBE_15
 
+import mcgc
 from mcgc.cli import dispatch
 
 
@@ -78,6 +83,13 @@ class TestCutSearch:
         assert code == 0
         assert out.splitlines()[-1].replace(" ", "") == PROBE_15 + PROBE_15[0]
 
+    def test_cut_window_longer_than_word_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "word.txt"
+        path.write_text("# k=3 mode=cyclic\n1 1 2 2 3 3\n")
+        code, out, err = run_cli(capsys, "cut", "--t", "0", "--m", "9", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "exceeds sequence length 6" in err
+
     def test_search_max(self, capsys):
         code, out, _ = run_cli(capsys, "search-max", "--m", "2", "--k", "4", "--cap", "60")
         assert code == 0
@@ -111,6 +123,18 @@ class TestCrossCompose:
         code, out, _ = run_cli(capsys, "compose", "--m", "5")
         assert code == 0
         assert "# compose split=3+2" in out
+
+    def test_compose_ten_factors_large_budget_returns(self):
+        # palette totals are walked upwards, so the first feasible total (30)
+        # ends the search whatever the budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcgc.cli", "compose", "--m", "30", "--max-colors", "90"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# k=30 mode=cyclic\n")
+        assert "palettes=3,3,3,3,3,3,3,3,3,3" in proc.stdout
 
 
 class TestTables:
@@ -215,6 +239,15 @@ class TestSimulateCli:
             "--bits", "8",
         )
         assert code == 1 and "--seed" in err
+
+    def test_field_beyond_palette_budget_exit_1(self, capsys):
+        # a 2051-symbol window-2 axis needs more than 64 colors
+        code, out, err = run_cli(
+            capsys, "simulate", "--cells", "2050", "--m", "2", "--slots", "1",
+            "--bits", "8", "--seed", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "within 64 colors" in err
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vectors import CROSS_S, CROSS_T
@@ -166,3 +168,35 @@ class TestCompose:
     def test_single_factor_windows(self):
         assert len(compose_for_m(3).sequence) == 9
         assert len(compose_for_m(2).sequence) == 6
+
+    def test_single_factor_keeps_lengths_the_window_does_not_divide(self):
+        # build_m2(5) has 15 symbols; only interleaving needs divisibility
+        result = compose_for_m(2, min_length=10)
+        assert result.factor_palettes == (5,) and result.plans == ()
+        assert len(result.sequence) == 15 and result.sequence.palette_size == 5
+
+    def test_single_factor_budget_exhaustion(self):
+        with pytest.raises(ComposeError, match="no window-3 word from split 3 "):
+            compose_for_m(3, max_colors=8, min_length=100)
+
+
+# sha256 of every selection in the sweep below, recorded before the palette
+# totals were walked in ascending order
+COMPOSE_SELECTIONS_SHA256 = (
+    "6770b1206099d32ff6fae9559af33752bed9b07ada9c923fc993093e78fbc79f"
+)
+
+
+class TestComposeSelections:
+    def test_selections_pinned(self, cached_builds):
+        digest = hashlib.sha256()
+        for m in range(3, 13):
+            for max_colors in range(8, 49):
+                for min_length in (1, 50, 200, 600, 1500, 4000):
+                    try:
+                        r = compose_for_m(m, max_colors=max_colors, min_length=min_length)
+                        line = repr((r.sequence, r.factor_palettes, r.plans))
+                    except ComposeError:
+                        line = "ComposeError"
+                    digest.update(f"{m},{max_colors},{min_length}:{line}\n".encode())
+        assert digest.hexdigest() == COMPOSE_SELECTIONS_SHA256

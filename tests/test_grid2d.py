@@ -273,6 +273,11 @@ class TestGridFiles:
         with pytest.raises(InputError, match="codebook header"):
             parse_codebook("# m=1 n=1 k=9 mode=plain\nkey,x0,y0\n1-0,0,0\n0-1,0,1\n")
 
+    def test_codebook_key_on_two_rows_rejected(self):
+        # with both rows kept, decode would answer with one of two positions
+        with pytest.raises(InputError, match="appears on two rows"):
+            parse_codebook("key,x0,y0\n1-0,0,0\n1-0,1,1\n")
+
     def test_codebook_without_header_takes_rows(self):
         cb = parse_codebook("key,x0,y0\n2-0,0,0\n1-1,0,1\n")
         assert (cb.block_m, cb.block_n, cb.palette_size) == (2, 1, 2)

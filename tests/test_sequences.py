@@ -180,6 +180,13 @@ class TestTCut:
         with pytest.raises(InputError):
             t_cut(seq("123", 3, "linear"), 0, 2)
 
+    def test_window_longer_than_sequence_rejected(self):
+        # the output could not hold len + m - 1 symbols of the word
+        with pytest.raises(InputError, match="window size 9 exceeds sequence length 6"):
+            t_cut(seq("112233"), 0, 9)
+        with pytest.raises(InputError, match="at least 1"):
+            t_cut(seq("112233"), 0, 0)
+
 
 class TestTextFormat:
     def test_roundtrip_with_header(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import pytest
 
 from mcgc.bounds import min_colors_1d
-from mcgc.errors import InputError
+from mcgc.errors import ComposeError, InputError, McgcError
 from mcgc.grid2d import block_multiset, block_starts, decode
 from mcgc.sequences import check_distinguishable
 from mcgc.sim import (
@@ -72,6 +73,27 @@ class TestAxisSequence:
         # equals the bound-minimal palette
         for side in (7, 10, 21, 40):
             assert axis_sequence(side, 2).palette_size == min_colors_1d(side, 2)
+
+    def test_beyond_the_palette_budget(self):
+        # build_m2(64) cut open has 2049 symbols
+        assert axis_sequence(2049, 2).palette_size == 64
+        with pytest.raises(ComposeError, match="within 64 colors"):
+            axis_sequence(2050, 2)
+
+    def test_axes_pinned(self, cached_builds):
+        # sha256 of every axis in the sweep, recorded before the axes went
+        # through compose_for_m
+        digest = hashlib.sha256()
+        for m in range(1, 7):
+            for side in range(m, 401):
+                try:
+                    line = repr(axis_sequence(side, m))
+                except McgcError:
+                    line = "error"
+                digest.update(f"{m},{side}:{line}\n".encode())
+        assert digest.hexdigest() == (
+            "f5ece3e52c152a68793179426535061654e49066f5065cf31f3b1e57bb10b3ec"
+        )
 
     def test_window4_uses_interleaving(self):
         axis = axis_sequence(12, 4)
