@@ -56,6 +56,7 @@ from .grid2d import (
     build_codebook,
     check_grid_distinguishable,
     decode,
+    decode_colors,
     product_grid,
 )
 from .search import SearchResult, brute_force_max_cyclic
@@ -117,6 +118,7 @@ __all__ = [
     "check_grid_distinguishable",
     "build_codebook",
     "decode",
+    "decode_colors",
     # simulator
     "SimConfig",
     "SimReport",

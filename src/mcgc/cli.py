@@ -28,7 +28,7 @@ from .crossing import compose_for_m, cross, plan_cross, shift_palette
 from .errors import InputError, McgcError
 from .grid2d import (
     build_codebook,
-    decode,
+    decode_colors,
     format_codebook,
     format_grid,
     parse_codebook,
@@ -38,7 +38,6 @@ from .grid2d import (
 from .search import brute_force_max_cyclic
 from .sequences import (
     ColorSequence,
-    Multiset,
     check_distinguishable,
     format_sequence,
     parse_sequences,
@@ -232,8 +231,7 @@ def cmd_codebook(args) -> int:
 
 def cmd_decode(args) -> int:
     cb = parse_codebook(_read_text(args.codebook))
-    colors = _int_list(args.colors)
-    pos = decode(cb, Multiset.of(colors, cb.palette_size))
+    pos = decode_colors(cb, _int_list(args.colors))
     _write(args.output, f"{pos[0]} {pos[1]}\n")
     return 0
 

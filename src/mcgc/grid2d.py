@@ -5,15 +5,20 @@ each m x n block identifies the block's tag point.  The product of two 1D
 colorings (cells carry the pair of axis colors, flattened to one id)
 inherits distinguishability from its axes, which is how large 2D codes are
 built from 1D ones.  Its codebook (``product_codebook``) is therefore kept
-as two tables of axis windows rather than one count vector per block.
+as two tables of axis windows rather than one key per block.
+
+Codebooks key a block by its m*n colors, sorted, so ``decode_colors`` looks
+up the colors the sensors report without going through the k-long count
+vector.  The count vector is the codebook file's form only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from typing import Iterator, Literal
+from functools import cache
+from itertools import compress
+from typing import Iterator, Literal, Sequence
 
 from .bounds import multichoose
 from .errors import (
@@ -45,6 +50,7 @@ __all__ = [
     "build_codebook",
     "product_codebook",
     "decode",
+    "decode_colors",
     "format_grid",
     "parse_grid",
     "format_codebook",
@@ -166,13 +172,58 @@ def check_grid_distinguishable(
     return keyed_report(list(_block_keys(g, m, n)), starts)
 
 
+@cache
+def _indices(k: int) -> tuple[int, ...]:
+    return tuple(range(k))  # made once: compress over a range allocates k ints
+
+
+def _sorted_colors(counts, size: int) -> tuple[int, ...] | None:
+    """The colors of a count vector, ascending (color i+1 counts[i] times), or
+    None unless its counts sum to size; the sum is taken over the colors
+    present, before the expansion that costs that much."""
+    present = list(compress(_indices(len(counts)), counts))
+    if sum(map(counts.__getitem__, present)) != size:
+        return None
+    return tuple([i + 1 for i in present for _ in range(counts[i])])
+
+
+class _CountVectors(Mapping):
+    """Count vector -> tag point: the file form of a table keyed by sorted
+    colors, converted per key on access."""
+
+    def __init__(self, table: Mapping, k: int, size: int):
+        self.table, self._k, self._size = table, k, size
+
+    def __getitem__(self, counts):
+        colors = None
+        if len(counts) == self._k and min(counts) >= 0:
+            colors = _sorted_colors(counts, self._size)
+        if colors is None:
+            raise KeyError(counts)
+        return self.table[colors]
+
+    def __iter__(self):
+        return (Multiset.of(colors, self._k).counts for colors in self.table)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __eq__(self, other):
+        if isinstance(other, _CountVectors) and other._k == self._k:
+            return self.table == other.table  # equal colors are equal counts
+        return super().__eq__(other)
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Injective map from block multisets to their tag points.
 
-    ``entries`` maps each block's count vector to its tag point: a dict for
-    ``build_codebook``, and a read-only mapping over two axis tables for
-    ``product_codebook``, which holds no count vectors at all.
+    Blocks are keyed by their m*n colors, sorted, which is how the sensors
+    report them: a dict for ``build_codebook`` and ``parse_codebook``, and a
+    read-only mapping over two axis tables for ``product_codebook``.  The
+    count vector is the file form only: ``entries`` maps count vectors to
+    tag points as a view of that table, and a count-vector mapping passed in
+    is converted once.
     """
 
     block_m: int
@@ -181,25 +232,46 @@ class Codebook:
     mode: GridMode
     entries: Mapping
 
+    def __post_init__(self):
+        if isinstance(self.entries, _CountVectors):
+            return
+        k, card = self.palette_size, self.block_m * self.block_n
+        table = {}
+        for counts, tag in self.entries.items():
+            colors = None
+            if len(counts) == k and min(counts) >= 0:
+                colors = _sorted_colors(counts, card)
+            if colors is None:
+                raise InputError(
+                    f"codebook key {counts} is no multiset of {card} colors over {k}"
+                )
+            table[colors] = tag
+        object.__setattr__(self, "entries", _CountVectors(table, k, card))
+
     @property
     def size(self) -> int:
         return len(self.entries)
 
 
+def _keyed_codebook(m: int, n: int, k: int, mode: GridMode, table: Mapping) -> Codebook:
+    """Codebook over a table that is already keyed by sorted colors."""
+    return Codebook(m, n, k, mode, _CountVectors(table, k, m * n))
+
+
 def build_codebook(g: ColorGrid2D, m: int, n: int) -> Codebook:
-    """Map every coding-area block's multiset to its tag point.
+    """Map every coding-area block's sorted colors to its tag point.
 
     Fails with the first block, in ``block_starts`` order, whose multiset an
     earlier block already has.
     """
-    entries: dict[tuple[int, ...], tuple[int, int]] = {}
+    table: dict[tuple[int, ...], tuple[int, int]] = {}
     for tag, key in zip(block_starts(g, m, n), _block_keys(g, m, n)):
-        first = entries.setdefault(Multiset.of(key, g.palette_size).counts, tag)
+        first = table.setdefault(key, tag)
         if first != tag:
             raise CollisionError(first, tag)
-    if len(entries) > multichoose(g.palette_size, m * n):
+    if len(table) > multichoose(g.palette_size, m * n):
         raise AssertionError("more codewords than multisets exist; impossible")
-    return Codebook(m, n, g.palette_size, g.mode, entries)
+    return _keyed_codebook(m, n, g.palette_size, g.mode, table)
 
 
 def _axis_table(keys: list[tuple[int, ...]]) -> tuple[dict, tuple[int, int] | None]:
@@ -214,40 +286,32 @@ def _axis_table(keys: list[tuple[int, ...]]) -> tuple[dict, tuple[int, int] | No
 
 
 class _ProductEntries(Mapping):
-    """Count vector -> tag point of a product grid's blocks, read through
+    """Sorted colors -> tag point of a product grid's blocks, read through
     the axis tables.
 
     A block's colors are the pairs (a, b) of its row window A and column
     window B, so its multiset projects onto A repeated n times and B
     repeated m times.  The projections find the one candidate block; the
-    candidate's own colors must then equal the multiset, since the
-    projections alone do not fix the pairs.
+    candidate's own colors must then equal the key, since the projections
+    alone do not fix the pairs.
     """
 
-    def __init__(self, rows: dict, cols: dict, k1: int, k2: int, m: int, n: int):
+    def __init__(self, rows: dict, cols: dict, k2: int, m: int, n: int):
         self._rows, self._cols = rows, cols
-        self._k2, self._m, self._n, self._size = k2, m, n, m * n
-        # flat color c+1 pairs row color c // k2 + 1 with column color c % k2 + 1
-        self._palette = tuple(range(k1 * k2))
-        self._row_of = tuple(c // k2 + 1 for c in self._palette)
-        self._col_of = tuple(c % k2 + 1 for c in self._palette)
+        self._k2, self._m, self._n = k2, m, n
 
     def get(self, key, default=None):
-        if len(key) != len(self._palette):
+        m, n, k2 = self._m, self._n, self._k2
+        if len(key) != m * n:
             return default
-        present = list(compress(self._palette, key))
-        mults = list(map(key.__getitem__, present))
-        if sum(mults) != self._size:
-            return default
-        colors = list(chain.from_iterable(map(repeat, present, mults)))
-        row = tuple(map(self._row_of.__getitem__, colors[:: self._n]))
-        col = tuple(sorted(map(self._col_of.__getitem__, colors))[:: self._m])
+        # flat color c pairs row color (c-1) // k2 + 1 with column color (c-1) % k2 + 1
+        row = tuple([(c - 1) // k2 + 1 for c in key[::n]])
+        col = tuple(sorted([(c - 1) % k2 + 1 for c in key])[::m])
         x0 = self._rows.get(row)
         y0 = self._cols.get(col)
         if x0 is None or y0 is None:
             return default
-        k2 = self._k2
-        if sorted([(a - 1) * k2 + b - 1 for a in row for b in col]) != colors:
+        if tuple(sorted([(a - 1) * k2 + b for a in row for b in col])) != key:
             return default
         return x0, y0
 
@@ -258,10 +322,10 @@ class _ProductEntries(Mapping):
         return pos
 
     def __iter__(self):
-        k2, k = self._k2, len(self._palette)
+        k2 = self._k2
         for row in self._rows:
             for col in self._cols:
-                yield Multiset.of([(a - 1) * k2 + b for a in row for b in col], k).counts
+                yield tuple(sorted([(a - 1) * k2 + b for a in row for b in col]))
 
     def __len__(self) -> int:
         return len(self._rows) * len(self._cols)
@@ -272,10 +336,10 @@ def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Co
 
     A product block's multiset fixes its row and column windows, so the
     codebook holds the M-m+1 windows of s1 and the N-n+1 windows of s2
-    (every window when the grid is cyclic) instead of one count vector per
-    block.  It equals the grid's codebook entry for entry and fails the same
-    way: a collision names the first repeated block in ``block_starts``
-    order, which lies in the first band when s2 repeats a window.
+    (every window when the grid is cyclic) instead of one key per block.  It
+    equals the grid's codebook entry for entry and fails the same way: a
+    collision names the first repeated block in ``block_starts`` order,
+    which lies in the first band when s2 repeats a window.
     """
     _require_block(len(s1), len(s2), m, n)
     mode = _product_mode(s1, s2)
@@ -285,33 +349,48 @@ def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Co
         raise CollisionError((0, col_pair[0]), (0, col_pair[1]))
     if row_pair is not None:
         raise CollisionError((row_pair[0], 0), (row_pair[1], 0))
-    entries = _ProductEntries(rows, cols, s1.palette_size, s2.palette_size, m, n)
-    return Codebook(m, n, s1.palette_size * s2.palette_size, mode, entries)
+    table = _ProductEntries(rows, cols, s2.palette_size, m, n)
+    return _keyed_codebook(m, n, s1.palette_size * s2.palette_size, mode, table)
+
+
+def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
+    """Tag point of the block whose sensors reported colors, in any order.
+
+    The sorted colors are the key: one dict probe, or for a product codebook
+    one probe per axis table and a check of the candidate.  The errors are
+    ``decode(cb, Multiset.of(colors, cb.palette_size))``'s, in its order: the
+    first color outside the palette in input order (InputError), a count
+    other than m*n (CardinalityError), no such block (UnknownBlockError).
+    """
+    key = tuple(sorted(colors))
+    k = cb.palette_size
+    if key and (key[0] < 1 or key[-1] > k):
+        Multiset.of(colors, k)  # raises, naming the first such color
+    _require_size(cb, len(key))
+    pos = cb.entries.table.get(key)
+    if pos is None:
+        raise UnknownBlockError(f"multiset {Multiset.of(key, k).key()} is not a code symbol")
+    return pos
+
+
+def _require_size(cb: Codebook, size: int) -> None:
+    want = cb.block_m * cb.block_n
+    if size != want:
+        raise CardinalityError(f"multiset has {size} elements; blocks have {want}")
 
 
 def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
-    """Tag point of the block whose color multiset is s.
-
-    The lookup is ``cb.entries.get(s.counts)``: one dict probe for a grid's
-    codebook; for a product codebook, one probe in each axis table and a
-    check of the candidate block's colors.  Malformed input (wrong palette
-    or cardinality) is distinguished from a well-formed multiset that simply
-    is not a code symbol.
-    """
+    """``decode_colors`` on the colors of s; a multiset over another palette
+    than the codebook's is malformed (CardinalityError)."""
     if s.palette_size != cb.palette_size:
         raise CardinalityError(
             f"multiset palette {s.palette_size} differs from codebook "
             f"palette {cb.palette_size}"
         )
-    want = cb.block_m * cb.block_n
-    if s.cardinality != want:
-        raise CardinalityError(
-            f"multiset has {s.cardinality} elements; blocks have {want}"
-        )
-    pos = cb.entries.get(s.counts)
-    if pos is None:
-        raise UnknownBlockError(f"multiset {s.key()} is not a code symbol")
-    return pos
+    colors = _sorted_colors(s.counts, cb.block_m * cb.block_n)
+    if colors is None:
+        _require_size(cb, s.cardinality)
+    return decode_colors(cb, colors)
 
 
 def format_grid(g: ColorGrid2D) -> str:
@@ -345,9 +424,11 @@ def format_codebook(cb: Codebook) -> str:
         f"# m={cb.block_m} n={cb.block_n} k={cb.palette_size} mode={cb.mode}",
         "key,x0,y0",
     ]
-    for key in sorted(cb.entries):
-        x0, y0 = cb.entries[key]
-        lines.append(f"{'-'.join(str(c) for c in key)},{x0},{y0}")
+    table, k = cb.entries.table, cb.palette_size
+    # keys of one size: descending sorted colors are ascending count vectors
+    for colors in sorted(table, reverse=True):
+        x0, y0 = table[colors]
+        lines.append(f"{Multiset.of(colors, k).key()},{x0},{y0}")
     return "\n".join(lines) + "\n"
 
 
@@ -355,23 +436,26 @@ def parse_codebook(text: str) -> Codebook:
     """Read a codebook file; header m*n must match the rows' cardinality,
     header k their palette, and no key may appear on two rows."""
     header: dict = {}
-    entries: dict[tuple[int, ...], tuple[int, int]] = {}
+    rows: dict[tuple, tuple[int, int]] = {}
     for line in data_lines(text, header, ("m", "n", "k"), _GRID_MODES):
         if line == "key,x0,y0":
             continue
         try:
             key_str, x_str, y_str = line.rsplit(",", 2)
-            counts = tuple(int(p) for p in key_str.split("-"))
+            parts = key_str.split("-")
+            # a block names a few of the k colors: only their counts are read
+            counts = [(c, int(p)) for c, p in enumerate(parts, 1) if p != "0"]
             start = (int(x_str), int(y_str))
         except ValueError as exc:
             raise InputError(f"bad codebook row {line!r}") from exc
-        if counts in entries:
+        key = (len(parts), tuple([cc for cc in counts if cc[1]]))  # the count vector
+        if key in rows:
             raise InputError(f"codebook key {key_str} appears on two rows")
-        entries[counts] = start
-    if not entries:
+        rows[key] = start
+    if not rows:
         raise InputError("no codebook rows found")
-    palettes = {len(key) for key in entries}
-    cards = {sum(key) for key in entries}
+    palettes = {k for k, _ in rows}
+    cards = {sum(count for _, count in counts) for _, counts in rows}
     if len(palettes) != 1 or len(cards) != 1:
         raise InputError("codebook rows disagree on palette or block size")
     k, card = palettes.pop(), cards.pop()
@@ -383,4 +467,8 @@ def parse_codebook(text: str) -> Codebook:
         raise InputError(
             f"codebook header disagrees with its rows: {card} of {k} colors each"
         )
-    return Codebook(m, n, k, header.get("mode", "plain"), entries)
+    table = {
+        tuple([c for c, count in counts for _ in range(count)]): start
+        for (_, counts), start in rows.items()
+    }
+    return _keyed_codebook(m, n, k, header.get("mode", "plain"), table)

@@ -6,9 +6,10 @@ of colors it contains; the sequence is m-distinguishable when all window
 multisets are pairwise distinct, so a window's multiset identifies where the
 window sits.
 
-The checks key each window by the sorted tuple of its colors (``window_keys``),
-which costs O(m) per window whatever the palette size.  The count vector of
-``Multiset`` is the wire form only: codebooks, decoding and file formats.
+The checks and the codebooks key each window or block by the sorted tuple of
+its colors (``window_keys``), which costs O(m) per window whatever the palette
+size.  The count vector of ``Multiset`` is the file form only: the '-'-joined
+keys of the codebook file and of error messages.
 This module also owns the '# key=value' header that the sequence, grid and
 codebook files share (``data_lines``).
 """
@@ -42,9 +43,10 @@ __all__ = [
 class Multiset:
     """A multiset over [k], stored as its count vector in palette order.
 
-    The count vector is the wire form: codebook keys, decoding, and the
-    '-'-joined ``key()`` of the file formats.  Distinguishability checks do not
-    build it; they key windows by their sorted colors (``window_keys``).
+    The count vector is the file form: the '-'-joined ``key()`` of codebook
+    files and error messages.  Distinguishability checks and codebook keys do
+    not use it; they key windows and blocks by their sorted colors
+    (``window_keys``), and ``grid2d.decode_colors`` decodes reported colors.
     """
 
     counts: tuple[int, ...]

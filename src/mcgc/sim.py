@@ -22,11 +22,11 @@ from .errors import InputError, TrackingError
 from .grid2d import (
     Codebook,
     ColorGrid2D,
-    decode,
+    decode_colors,
     product_codebook,
     product_grid,
 )
-from .sequences import ColorSequence, Multiset, t_cut
+from .sequences import ColorSequence, t_cut
 
 __all__ = [
     "SimConfig",
@@ -173,6 +173,10 @@ def deploy(config: SimConfig) -> Deployment:
     return Deployment(grid, codebook, axis, side)
 
 
+# json.dumps with these options builds a new encoder on every call
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class SlotRecord:
     """One time slot: where the object was, what was heard, what decoded."""
@@ -188,7 +192,7 @@ class SlotRecord:
         # field by field: asdict deep-copies at five times the cost, and
         # vars() leaves every record holding a dict of its own
         payload = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _compact_json(payload)
 
 
 @dataclass(frozen=True)
@@ -256,19 +260,17 @@ def run(config: SimConfig) -> tuple[SimReport, list[SlotRecord]]:
     bound = gain_record(placement.side, placement.side, m, m)
     k_bound = bound.k_M * bound.k_N
 
+    cells, codebook = placement.grid.cells, placement.codebook
+    offsets = [(i, j) for i in range(m) for j in range(m)]
     records: list[SlotRecord] = []
     cell: tuple[int, int] | None = None
     for slot in range(config.slots):
         cell = _next_cell(rng, config, cell)
         x0, y0 = cell
-        sensors = tuple(
-            (x0 + i, y0 + j) for i in range(m) for j in range(m)
-        )
-        colors = [placement.grid.color(x, y) for x, y in sensors]
+        sensors = tuple([(x0 + i, y0 + j) for i, j in offsets])
+        colors = [cells[x][y] for x, y in sensors]
         rng.shuffle(colors)  # the observer cannot order the arrivals
-        decoded = decode(
-            placement.codebook, Multiset.of(colors, placement.colors)
-        )
+        decoded = decode_colors(codebook, colors)
         if decoded != cell:
             raise TrackingError(
                 f"slot {slot}: decoded {decoded} but object is at {cell}"

@@ -218,6 +218,40 @@ class TestGridPipeline:
         assert code == 1 and "not a code symbol" in err
 
 
+# `decode` on the 2x2 codebook of the 7x7 product of "1 1 2 2 3 3 1" (9
+# colors): exit code, stdout and stderr, recorded before decoding went
+# through the sorted colors.  Out-of-palette colors are named in input order.
+DECODE_OUTCOMES = {
+    "": (1, "", "error: multiset has 0 elements; blocks have 4\n"),
+    "1": (1, "", "error: multiset has 1 elements; blocks have 4\n"),
+    "0,1,1,1": (1, "", "error: color 0 outside palette [1..9]\n"),
+    "10,2,4,5": (1, "", "error: color 10 outside palette [1..9]\n"),
+    "10,0,1,1": (1, "", "error: color 10 outside palette [1..9]\n"),
+    "1,1,1,1": (0, "0 0\n", ""),
+    "5,2,4,1": (0, "1 1\n", ""),
+    "1,1,1,2": (1, "", "error: multiset 3-1-0-0-0-0-0-0-0 is not a code symbol\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def nine_color_book(tmp_path_factory):
+    work = tmp_path_factory.mktemp("book")
+    axis, grid, book = (str(work / name) for name in ("axis.txt", "grid.csv", "book.csv"))
+    for argv in (
+        ["construct", "--m", "2", "--k", "3", "--linear", "-o", axis],
+        ["grid", "--s", axis, "--t", axis, "-o", grid],
+        ["codebook", "--grid", grid, "--m", "2", "--n", "2", "-o", book],
+    ):
+        assert dispatch(argv) == 0
+    return book
+
+
+@pytest.mark.parametrize("colors", list(DECODE_OUTCOMES))
+def test_decode_outcomes_unchanged(colors, nine_color_book, capsys):
+    outcome = run_cli(capsys, "decode", "--codebook", nine_color_book, "--colors", colors)
+    assert outcome == DECODE_OUTCOMES[colors]
+
+
 class TestSimulateCli:
     def test_report_and_records(self, tmp_path, capsys):
         records = tmp_path / "records.ndjson"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import random_sequence
@@ -11,12 +13,14 @@ from mcgc.errors import (
     UnknownBlockError,
 )
 from mcgc.grid2d import (
+    Codebook,
     ColorGrid2D,
     block_multiset,
     block_starts,
     build_codebook,
     check_grid_distinguishable,
     decode,
+    decode_colors,
     flat_pair,
     format_codebook,
     format_grid,
@@ -32,6 +36,7 @@ from mcgc.sequences import (
     t_cut,
     window_multiset,
 )
+from mcgc.sim import axis_sequence
 
 
 def linear_pairs_axis():
@@ -174,6 +179,33 @@ class TestCodebook:
         cb = build_codebook(g, 2, 2)
         for x0, y0 in block_starts(g, 2, 2):
             assert decode(cb, block_multiset(g, x0, y0, 2, 2)) == (x0, y0)
+
+    def test_large_grid_codebook_memory(self):
+        # track's 201x201 field on 400 colors: 40k blocks, each kept as its
+        # four sorted colors rather than a count vector of length 400
+        axis = axis_sequence(201, 2)
+        g = product_grid(axis, axis)
+        tracemalloc.start()
+        try:
+            cb = build_codebook(g, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+        assert cb.size == 200 * 200 and cb.palette_size == 400
+        assert decode(cb, block_multiset(g, 123, 45, 2, 2)) == (123, 45)
+
+    def test_count_vector_entries_are_converted_once(self):
+        cb = Codebook(2, 1, 3, "plain", {(1, 0, 1): (0, 0), (0, 2, 0): (1, 0)})
+        assert cb.size == 2 and cb.entries[(1, 0, 1)] == (0, 0)
+        assert sorted(cb.entries) == [(0, 2, 0), (1, 0, 1)]
+        assert decode_colors(cb, [3, 1]) == (0, 0) and decode_colors(cb, (2, 2)) == (1, 0)
+        assert cb == parse_codebook(format_codebook(cb))
+        assert cb.entries == {(0, 2, 0): (1, 0), (1, 0, 1): (0, 0)}
+        assert cb != Codebook(2, 1, 3, "plain", {(1, 0, 1): (0, 0), (0, 2, 0): (1, 1)})
+        for key in [(1, 0), (1, 1, 0, 0), (1, -1, 1), (1, 0, 0)]:
+            with pytest.raises(InputError, match="is no multiset of 2 colors over 3"):
+                Codebook(2, 1, 3, "plain", {key: (0, 0)})
 
     def test_collision_names_positions(self):
         with pytest.raises(CollisionError) as err:

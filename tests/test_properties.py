@@ -1,6 +1,7 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
-the axis-backed product codebook against the grid's codebook, and
-format-then-parse round trips of the sequence, grid and codebook files."""
+the axis-backed product codebook against the grid's codebook, decoding from
+reported colors against decoding a multiset, and format-then-parse round
+trips of the sequence, grid and codebook files."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from mcgc.grid2d import (
     build_codebook,
     check_grid_distinguishable,
     decode,
+    decode_colors,
     format_codebook,
     format_grid,
     parse_codebook,
@@ -126,6 +128,39 @@ def test_product_codebook_matches_grid_codebook(s1, s2, m, n, data):
         st.lists(block, max_size=20))]
     for query in queries:
         assert _outcome(decode, got, query) == _outcome(decode, want, query)
+
+
+def _decode_multiset(cb, colors):
+    return decode(cb, Multiset.of(colors, cb.palette_size))
+
+
+@PROPERTY
+@given(axes(), axes(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_decode_colors_matches_decode(s1, s2, m, n, data):
+    g = product_grid(s1, s2)
+    books = [_outcome(build_codebook, g, m, n), _outcome(product_codebook, s1, s2, m, n)]
+    books = [cb for cb in books if isinstance(cb, Codebook)]
+    books += [parse_codebook(format_codebook(cb)) for cb in books]
+    k, size = g.palette_size, m * n
+    shuffle = data.draw(st.randoms(use_true_random=False)).shuffle
+    queries = []
+    for x0, y0 in block_starts(g, m, n) if books else ():
+        colors = [g.color((x0 + i) % g.M, (y0 + j) % g.N) for i in range(m) for j in range(n)]
+        shuffle(colors)
+        queries.append(colors)
+    misses = st.lists(st.integers(1, k), min_size=size, max_size=size)
+    wrong_size = st.lists(st.integers(1, k), max_size=size + 2).filter(lambda c: len(c) != size)
+    off_palette = st.tuples(  # two or three colors outside the palette, anywhere
+        st.lists(st.integers(1, k), max_size=size),
+        st.lists(st.sampled_from((-1, 0, k + 1, k + 9)), min_size=2, max_size=3),
+    ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    queries += data.draw(st.lists(st.one_of(misses, wrong_size, off_palette), max_size=20))
+    for cb in books:
+        rows = format_codebook(cb).splitlines()[2:]
+        counts = [tuple(map(int, row.split(",")[0].split("-"))) for row in rows]
+        assert counts == sorted(counts) and len(counts) == cb.size
+        for colors in queries:
+            assert _outcome(decode_colors, cb, colors) == _outcome(_decode_multiset, cb, colors)
 
 
 def test_product_codebook_checks_the_pairs_not_only_the_projections():
