@@ -43,7 +43,7 @@ from .sequences import (
     parse_sequences,
     t_cut,
 )
-from .sim import SimConfig, parse_config, parse_trajectory, run
+from .sim import _CONFIG_KEYS, _make_config, parse_config, run
 
 FORMAT_VERSION = 1
 
@@ -240,26 +240,11 @@ def cmd_simulate(args) -> int:
     if args.config:
         config = parse_config(_read_text(args.config))
     else:
-        required = {
-            "--cells": args.cells,
-            "--m": args.m,
-            "--slots": args.slots,
-            "--bits": args.bits,
-            "--seed": args.seed,
-        }
-        missing = [flag for flag, value in required.items() if value is None]
+        values = {key: getattr(args, key) for key in _CONFIG_KEYS}
+        missing = [f"--{key}" for key, value in values.items() if value is None]
         if missing:
             raise InputError(f"missing flags: {' '.join(missing)}")
-        trajectory, p_move = parse_trajectory(args.traj)
-        config = SimConfig(
-            cells_per_side=args.cells,
-            block=args.m,
-            slots=args.slots,
-            bits_per_slot=args.bits,
-            seed=args.seed,
-            trajectory=trajectory,
-            p_move=p_move,
-        )
+        config = _make_config(values, args.traj)
     report, records = run(config)
     if args.records:
         ndjson = "".join(record.to_json() + "\n" for record in records)

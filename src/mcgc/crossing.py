@@ -156,39 +156,36 @@ class ComposeResult:
     plans: tuple[CrossProductPlan, ...]
 
 
-def _with_total(menus: list[range], colors: int):
-    """Every choice of one palette per menu whose palettes sum to exactly
-    colors, in itertools.product order.  Menus ascend, so a branch stops
-    once the menus still to come cannot fit in what is left."""
-    first, *rest = menus
-    if not rest:
-        if colors in first:
-            yield (colors,)
-        return
-    least_rest = sum(menu.start for menu in rest)
-    for k in first:
-        if k + least_rest > colors:
-            break
-        for tail in _with_total(rest, colors - k):
-            yield (k,) + tail
-
-
-def _fold_plans(
-    parts: list[int], lengths: list[int]
-) -> tuple[tuple[CrossProductPlan, ...], int] | None:
-    """Plans for the left fold and its final length, or None when some stage
-    has no valid plan.  A single factor has no plans."""
-    plans: list[CrossProductPlan] = []
-    cur_len, cur_m = lengths[0], parts[0]
-    for part, length in zip(parts[1:], lengths[1:]):
-        try:
-            plan = plan_cross(cur_len, cur_m, length, part)
-        except PlanError:
-            return None
-        plans.append(plan)
+def _walk(parts: list[int], menus: list[range], budget: int) -> dict:
+    """Fold the factors left to right within budget colors.  After each
+    factor a state (colors used, folded length) maps to its palettes and
+    plans.  The rest of the fold depends on the state alone, so it keeps
+    only its lexicographically smallest palettes: states are visited in
+    ascending palette order and the first to reach a state stays."""
+    need = sum(menu.start for menu in menus[1:])
+    states = {
+        (k, cyclic_length(parts[0], k)): ((k,), ())
+        for k in menus[0]
+        if k + need <= budget
+    }
+    cur_m = parts[0]
+    for part, menu in zip(parts[1:], menus[1:]):
+        need -= menu.start
+        folded = {}
+        for (used, length), (ks, plans) in states.items():
+            for k in menu:
+                if used + k + need > budget:
+                    break
+                try:
+                    plan = plan_cross(length, cur_m, cyclic_length(part, k), part)
+                except PlanError:
+                    continue
+                state = (used + k, plan.output_length)
+                if state not in folded:
+                    folded[state] = (ks + (k,), plans + (plan,))
+        states = folded
         cur_m += part
-        cur_len = plan.output_length
-    return tuple(plans), cur_len
+    return states
 
 
 def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeResult:
@@ -198,30 +195,33 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
 
     Base sequences keep their native construction lengths (a cyclic
     sequence cannot generally be truncated and stay distinguishable), so
-    the search varies the palette per factor instead.  Palette totals are
-    tried in ascending order; at the first total with a tuple whose every
-    fold admits a valid plan and whose output reaches min_length, the
-    shortest such output wins, ties going to the smaller palettes in order.
+    the search varies the palette per factor instead.  One walk folds every
+    palette choice within a color budget; the budget starts at the least
+    the factors need, and its spare colors double up to max_colors until
+    some fold admits a valid plan at every stage and reaches min_length.
+    The pick is the fewest colors, then the shortest output, then the
+    smaller palettes in order.
     """
     if min_length < 1:
         raise InputError("min_length must be at least 1")
     parts = split_window(m)
     menus = [palettes(p, max_colors) for p in parts]
-    lengths = {(p, k): cyclic_length(p, k) for p, menu in zip(parts, menus) for k in menu}
-    for total in range(max_colors + 1):
-        feasible = []
-        for ks in _with_total(menus, total):
-            fold = _fold_plans(parts, [lengths[pk] for pk in zip(parts, ks)])
-            if fold is not None and fold[1] >= min_length:
-                feasible.append((fold[1], ks, fold[0]))
-        if feasible:
-            _, ks, plans = min(feasible, key=lambda c: c[:2])
-            seq = build(parts[0], ks[0])
-            for part, k, plan in zip(parts[1:], ks[1:], plans):
-                factor = shift_palette(build(part, k), seq.palette_size)
-                seq = cross(seq, factor, plan)
-            return ComposeResult(seq, tuple(parts), ks, plans)
-    raise ComposeError(
-        f"no window-{m} word from split {'+'.join(map(str, parts))} "
-        f"reaches length {min_length} within {max_colors} colors"
-    )
+    least = budget = sum(menu.start for menu in menus)
+    while True:
+        budget = min(budget, max_colors)
+        walked = _walk(parts, menus, budget)
+        reached = [state for state in walked if state[1] >= min_length]
+        if reached or budget == max_colors:
+            break
+        budget = 2 * budget - least + 1
+    if not reached:
+        raise ComposeError(
+            f"no window-{m} word from split {'+'.join(map(str, parts))} "
+            f"reaches length {min_length} within {max_colors} colors"
+        )
+    ks, plans = walked[min(reached)]
+    seq = build(parts[0], ks[0])
+    for part, k, plan in zip(parts[1:], ks[1:], plans):
+        factor = shift_palette(build(part, k), seq.palette_size)
+        seq = cross(seq, factor, plan)
+    return ComposeResult(seq, tuple(parts), ks, plans)

@@ -88,7 +88,19 @@ def parse_trajectory(text: str) -> tuple[str, float]:
     raise InputError(f"unknown trajectory {text!r}")
 
 
-_REQUIRED_KEYS = {"cells", "m", "slots", "bits", "seed"}
+# The five values a run needs, by config key; each is also a simulate flag.
+_CONFIG_KEYS = ("cells", "m", "slots", "bits", "seed")
+
+
+def _make_config(values: dict, traj: str) -> SimConfig:
+    """SimConfig from the values of _CONFIG_KEYS (ints or their decimal text)
+    and a trajectory string; the caller has checked that none is missing."""
+    trajectory, p_move = parse_trajectory(traj)
+    try:
+        cells, m, slots, bits, seed = (int(values[key]) for key in _CONFIG_KEYS)
+    except ValueError as exc:
+        raise InputError(f"bad config value: {exc}") from exc
+    return SimConfig(cells, m, slots, bits, seed, trajectory, p_move)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -103,25 +115,13 @@ def parse_config(text: str) -> SimConfig:
         if not sep:
             raise InputError(f"bad config line {line!r}")
         key = key.strip()
-        if key not in _REQUIRED_KEYS and key != "traj":
+        if key not in _CONFIG_KEYS and key != "traj":
             raise InputError(f"unknown config key {key!r}")
         values[key] = value.strip()
-    missing = _REQUIRED_KEYS - values.keys()
+    missing = sorted(set(_CONFIG_KEYS) - values.keys())
     if missing:
-        raise InputError(f"config missing keys: {', '.join(sorted(missing))}")
-    trajectory, p_move = parse_trajectory(values.get("traj", "uniform"))
-    try:
-        return SimConfig(
-            cells_per_side=int(values["cells"]),
-            block=int(values["m"]),
-            slots=int(values["slots"]),
-            bits_per_slot=int(values["bits"]),
-            seed=int(values["seed"]),
-            trajectory=trajectory,
-            p_move=p_move,
-        )
-    except ValueError as exc:
-        raise InputError(f"bad config value: {exc}") from exc
+        raise InputError(f"config missing keys: {', '.join(missing)}")
+    return _make_config(values, values.get("traj", "uniform"))
 
 
 def axis_sequence(side: int, m: int, max_colors: int = 64) -> ColorSequence:

@@ -1,9 +1,11 @@
 import functools
+import itertools
 import random
 
 import pytest
 
 from mcgc import construct, crossing
+from mcgc.errors import PlanError
 from mcgc.grid2d import block_starts
 from mcgc.sequences import ColorSequence, window_starts
 
@@ -48,6 +50,34 @@ def naive_grid_distinguishable(g, m, n):
             if blocks[i] == blocks[j]:
                 return False, (starts[i], starts[j])
     return True, None
+
+
+def naive_compose(m, max_colors, min_length):
+    """Exhaustive oracle for compose_for_m's pick: every tuple of the
+    construct.palettes menus, folded left with plan_cross, sorted by (total,
+    final length, palettes).  Returns (palettes, plans) of the first tuple
+    within max_colors whose every stage has a plan and whose fold reaches
+    min_length, or None."""
+    parts = crossing.split_window(m)
+    menus = [construct.palettes(part, max_colors) for part in parts]
+    feasible = []
+    for ks in itertools.product(*menus):
+        if sum(ks) > max_colors:
+            continue
+        length, window, plans = construct.cyclic_length(parts[0], ks[0]), parts[0], []
+        try:
+            for part, k in zip(parts[1:], ks[1:]):
+                plans.append(
+                    crossing.plan_cross(length, window, construct.cyclic_length(part, k), part)
+                )
+                length, window = plans[-1].output_length, window + part
+        except PlanError:
+            continue
+        if length >= min_length:
+            feasible.append((sum(ks), length, ks, tuple(plans)))
+    if not feasible:
+        return None
+    return min(feasible, key=lambda c: c[:3])[2:]
 
 
 def random_sequence(rng: random.Random, max_len=30, max_k=6, mode="cyclic"):

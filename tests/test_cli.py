@@ -125,8 +125,9 @@ class TestCrossCompose:
         assert "# compose split=3+2" in out
 
     def test_compose_ten_factors_large_budget_returns(self):
-        # palette totals are walked upwards, so the first feasible total (30)
-        # ends the search whatever the budget
+        # the color budget starts at the least total the factors need (30)
+        # and grows only while no fold is feasible, so a large budget is
+        # never walked
         proc = subprocess.run(
             [sys.executable, "-m", "mcgc.cli", "compose", "--m", "30", "--max-colors", "90"],
             capture_output=True, text=True, timeout=30,
@@ -289,6 +290,31 @@ class TestSimulateCli:
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("traj", ["uniform", "walk", "walk:0.3"])
+    def test_config_file_matches_flags(self, tmp_path, capsys, traj):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"cells=7\nm=3\nslots=25\nbits=4\nseed=11\ntraj={traj}\n")
+        from_file = run_cli(capsys, "simulate", "--config", str(cfg), "--records", "-")
+        from_flags = run_cli(
+            capsys, "simulate", "--cells", "7", "--m", "3", "--slots", "25",
+            "--bits", "4", "--seed", "11", "--traj", traj, "--records", "-",
+        )
+        assert from_file == from_flags
+        assert from_file[0] == 0 and from_file[1].count('"slot":') == 25
+
+    def test_missing_values_named_as_given(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--cells", "6", "--slots", "5", "--bits", "8")
+        assert (code, err) == (1, "error: missing flags: --m --seed\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("cells=6\nslots=10\nbits=8\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, err) == (1, "error: config missing keys: m, seed\n")
+        cfg.write_text("cells=6\nm=2\nslots=x\nbits=8\nseed=q\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, err) == (
+            1, "error: bad config value: invalid literal for int() with base 10: 'x'\n"
+        )
 
 
 class TestExitCodes:

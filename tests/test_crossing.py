@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vectors import CROSS_S, CROSS_T
 
+import mcgc
 from mcgc.crossing import (
     compose_for_m,
     cross,
@@ -158,8 +163,9 @@ class TestCompose:
             compose_for_m(4, max_colors=5)
 
     def test_ten_factor_window_stays_within_budget(self):
-        # the palette tuples are pruned once they exceed the budget, so ten
-        # window-3 factors are searched in well under a second
+        # the first walk spends only the least total the ten window-3
+        # factors need (30 colors) and already reaches min_length, so the
+        # search ends in well under a second
         result = compose_for_m(30)
         assert result.split == (3,) * 10
         assert result.factor_palettes == (3,) * 10
@@ -178,6 +184,30 @@ class TestCompose:
     def test_single_factor_budget_exhaustion(self):
         with pytest.raises(ComposeError, match="no window-3 word from split 3 "):
             compose_for_m(3, max_colors=8, min_length=100)
+
+    def test_thousand_factors_fail_without_recursion(self):
+        # one window-3 factor per three units of m; the walk is iterative
+        with pytest.raises(ComposeError, match="within 3000 colors"):
+            compose_for_m(3000, max_colors=3000, min_length=10**12)
+
+    def test_unreachable_length_fails_fast(self):
+        # merged (colors used, length) states keep the failure path small
+        code = (
+            "from mcgc import compose_for_m\n"
+            "from mcgc.errors import ComposeError\n"
+            "try:\n"
+            "    compose_for_m(30, max_colors=72, min_length=10**12)\n"
+            "except ComposeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("no window-30 word from split 3+3+3")
+        assert proc.stdout.endswith("within 72 colors\n")
 
 
 # sha256 of every selection in the sweep below, recorded before the palette

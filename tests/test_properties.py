@@ -1,16 +1,18 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
 the axis-backed product codebook against the grid's codebook, decoding from
-reported colors against decoding a multiset, and format-then-parse round
-trips of the sequence, grid and codebook files."""
+reported colors against decoding a multiset, compose_for_m's pick against
+the exhaustive palette oracle, and format-then-parse round trips of the
+sequence, grid and codebook files."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_distinguishable, naive_grid_distinguishable
+from conftest import naive_compose, naive_distinguishable, naive_grid_distinguishable
 
 from mcgc.construct import build
-from mcgc.errors import McgcError, UnknownBlockError
+from mcgc.crossing import compose_for_m
+from mcgc.errors import ComposeError, McgcError, UnknownBlockError
 from mcgc.grid2d import (
     Codebook,
     ColorGrid2D,
@@ -176,6 +178,24 @@ def test_product_codebook_checks_the_pairs_not_only_the_projections():
             decode(cb, query)
         assert query.counts not in cb.entries
     assert cb == build_codebook(product_grid(axis, axis), 2, 2)
+
+
+# cached_builds only memoizes deterministic builds, so sharing it between
+# examples is sound.
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(range(2, 10)),
+    st.integers(0, 30),
+    st.one_of(st.integers(1, 3000), st.integers(1, 10**12)),
+)
+def test_compose_matches_exhaustive_oracle(cached_builds, m, max_colors, min_length):
+    want = naive_compose(m, max_colors, min_length)
+    if want is None:
+        with pytest.raises(ComposeError):
+            compose_for_m(m, max_colors=max_colors, min_length=min_length)
+        return
+    got = compose_for_m(m, max_colors=max_colors, min_length=min_length)
+    assert (got.factor_palettes, got.plans) == want
 
 
 # Comment words as the commands write them: free words and key=value tokens
