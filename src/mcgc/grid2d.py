@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
-from itertools import compress
-from typing import Iterator, Literal, Sequence
+from itertools import count, repeat
+from math import inf
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .bounds import multichoose
 from .errors import (
@@ -31,6 +31,8 @@ from .sequences import (
     ColorSequence,
     DistinguishabilityReport,
     Multiset,
+    _require_palette,
+    _sorted_colors,
     data_lines,
     keyed_report,
     window_keys,
@@ -69,19 +71,12 @@ class ColorGrid2D:
     def __post_init__(self):
         if not self.cells or not self.cells[0]:
             raise InputError("grid needs at least one row and one column")
-        if self.palette_size < 1:
-            raise InputError("palette size must be at least 1")
-        if self.mode not in _GRID_MODES:
-            raise InputError(f"unknown grid mode {self.mode!r}")
+        _require_palette_mode(self.palette_size, self.mode)
         width = len(self.cells[0])
         for row in self.cells:
             if len(row) != width:
                 raise InputError("grid rows must all have the same length")
-            for c in row:
-                if not 1 <= c <= self.palette_size:
-                    raise InputError(
-                        f"color {c} outside palette [1..{self.palette_size}]"
-                    )
+            _require_palette(self.palette_size, row)
 
     @property
     def M(self) -> int:
@@ -93,6 +88,12 @@ class ColorGrid2D:
 
     def color(self, x: int, y: int) -> int:
         return self.cells[x][y]
+
+
+def _require_palette_mode(k: int, mode: str) -> None:
+    _require_palette(k)
+    if mode not in _GRID_MODES:
+        raise InputError(f"unknown grid mode {mode!r}")
 
 
 def flat_pair(a: int, b: int, k2: int) -> int:
@@ -116,7 +117,7 @@ def _product_mode(s1: ColorSequence, s2: ColorSequence) -> GridMode:
     return "cyclic" if s1.mode == "cyclic" and s2.mode == "cyclic" else "plain"
 
 
-def _require_block(M: int, N: int, m: int, n: int) -> None:
+def _require_block(m: int, n: int, M: float = inf, N: float = inf) -> None:
     if m < 1 or n < 1:
         raise InputError("block dimensions must be at least 1")
     if m > M or n > N:
@@ -129,7 +130,7 @@ def block_starts(g: ColorGrid2D, m: int, n: int) -> list[tuple[int, int]]:
     Plain grids include x0 = M-m and y0 = N-n, the last positions where a
     block still fits.
     """
-    _require_block(g.M, g.N, m, n)
+    _require_block(m, n, g.M, g.N)
     if g.mode == "cyclic":
         return [(x, y) for x in range(g.M) for y in range(g.N)]
     return [(x, y) for x in range(g.M - m + 1) for y in range(g.N - n + 1)]
@@ -137,7 +138,7 @@ def block_starts(g: ColorGrid2D, m: int, n: int) -> list[tuple[int, int]]:
 
 def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset:
     """Multiset of the m*n colors in the block tagged at (x0, y0)."""
-    _require_block(g.M, g.N, m, n)
+    _require_block(m, n, g.M, g.N)
     if g.mode == "cyclic":
         if not (0 <= x0 < g.M and 0 <= y0 < g.N):
             raise InputError(f"tag point ({x0}, {y0}) outside the grid")
@@ -172,21 +173,6 @@ def check_grid_distinguishable(
     return keyed_report(list(_block_keys(g, m, n)), starts)
 
 
-@cache
-def _indices(k: int) -> tuple[int, ...]:
-    return tuple(range(k))  # made once: compress over a range allocates k ints
-
-
-def _sorted_colors(counts, size: int) -> tuple[int, ...] | None:
-    """The colors of a count vector, ascending (color i+1 counts[i] times), or
-    None unless its counts sum to size; the sum is taken over the colors
-    present, before the expansion that costs that much."""
-    present = list(compress(_indices(len(counts)), counts))
-    if sum(map(counts.__getitem__, present)) != size:
-        return None
-    return tuple([i + 1 for i in present for _ in range(counts[i])])
-
-
 class _CountVectors(Mapping):
     """Count vector -> tag point: the file form of a table keyed by sorted
     colors, converted per key on access."""
@@ -195,9 +181,7 @@ class _CountVectors(Mapping):
         self.table, self._k, self._size = table, k, size
 
     def __getitem__(self, counts):
-        colors = None
-        if len(counts) == self._k and min(counts) >= 0:
-            colors = _sorted_colors(counts, self._size)
+        colors = _sorted_colors(counts, self._k, self._size)
         if colors is None:
             raise KeyError(counts)
         return self.table[colors]
@@ -207,11 +191,6 @@ class _CountVectors(Mapping):
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __eq__(self, other):
-        if isinstance(other, _CountVectors) and other._k == self._k:
-            return self.table == other.table  # equal colors are equal counts
-        return super().__eq__(other)
 
 
 @dataclass(frozen=True)
@@ -223,7 +202,8 @@ class Codebook:
     read-only mapping over two axis tables for ``product_codebook``.  The
     count vector is the file form only: ``entries`` maps count vectors to
     tag points as a view of that table, and a count-vector mapping passed in
-    is converted once.
+    is converted once.  However made or read, a codebook has block sides and
+    a palette of at least 1 and a grid mode, or raises InputError.
     """
 
     block_m: int
@@ -233,14 +213,14 @@ class Codebook:
     entries: Mapping
 
     def __post_init__(self):
+        _require_block(self.block_m, self.block_n)
+        _require_palette_mode(self.palette_size, self.mode)
         if isinstance(self.entries, _CountVectors):
             return
         k, card = self.palette_size, self.block_m * self.block_n
         table = {}
         for counts, tag in self.entries.items():
-            colors = None
-            if len(counts) == k and min(counts) >= 0:
-                colors = _sorted_colors(counts, card)
+            colors = _sorted_colors(counts, k, card)
             if colors is None:
                 raise InputError(
                     f"codebook key {counts} is no multiset of {card} colors over {k}"
@@ -264,25 +244,21 @@ def build_codebook(g: ColorGrid2D, m: int, n: int) -> Codebook:
     Fails with the first block, in ``block_starts`` order, whose multiset an
     earlier block already has.
     """
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for tag, key in zip(block_starts(g, m, n), _block_keys(g, m, n)):
-        first = table.setdefault(key, tag)
-        if first != tag:
-            raise CollisionError(first, tag)
+    table = _first_repeat(_block_keys(g, m, n), block_starts(g, m, n))
     if len(table) > multichoose(g.palette_size, m * n):
         raise AssertionError("more codewords than multisets exist; impossible")
     return _keyed_codebook(m, n, g.palette_size, g.mode, table)
 
 
-def _axis_table(keys: list[tuple[int, ...]]) -> tuple[dict, tuple[int, int] | None]:
-    """Window key -> start, and the first (earlier, repeat) pair of starts
-    with equal keys, if any."""
-    table: dict[tuple[int, ...], int] = {}
-    for t, key in enumerate(keys):
-        first = table.setdefault(key, t)
-        if first != t:
-            return table, (first, t)
-    return table, None
+def _first_repeat(keys: Iterable, tags: Iterable[tuple[int, int]]) -> dict:
+    """Key -> tag point over keys listed in tag order; the first key that an
+    earlier tag already has raises CollisionError naming both tag points."""
+    table: dict = {}
+    for tag, key in zip(tags, keys):
+        first = table.setdefault(key, tag)
+        if first != tag:
+            raise CollisionError(first, tag)
+    return table
 
 
 class _ProductEntries(Mapping):
@@ -307,13 +283,13 @@ class _ProductEntries(Mapping):
         # flat color c pairs row color (c-1) // k2 + 1 with column color (c-1) % k2 + 1
         row = tuple([(c - 1) // k2 + 1 for c in key[::n]])
         col = tuple(sorted([(c - 1) % k2 + 1 for c in key])[::m])
-        x0 = self._rows.get(row)
-        y0 = self._cols.get(col)
-        if x0 is None or y0 is None:
+        row_tag = self._rows.get(row)  # (x0, 0)
+        col_tag = self._cols.get(col)  # (0, y0)
+        if row_tag is None or col_tag is None:
             return default
         if tuple(sorted([(a - 1) * k2 + b for a in row for b in col])) != key:
             return default
-        return x0, y0
+        return row_tag[0], col_tag[1]
 
     def __getitem__(self, key):
         pos = self.get(key)
@@ -341,14 +317,11 @@ def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Co
     collision names the first repeated block in ``block_starts`` order,
     which lies in the first band when s2 repeats a window.
     """
-    _require_block(len(s1), len(s2), m, n)
+    _require_block(m, n, len(s1), len(s2))
     mode = _product_mode(s1, s2)
-    rows, row_pair = _axis_table(window_keys(s1.colors, m, mode == "cyclic"))
-    cols, col_pair = _axis_table(window_keys(s2.colors, n, mode == "cyclic"))
-    if col_pair is not None:
-        raise CollisionError((0, col_pair[0]), (0, col_pair[1]))
-    if row_pair is not None:
-        raise CollisionError((row_pair[0], 0), (row_pair[1], 0))
+    # tag points: window y0 of s2 is the block at (0, y0), window x0 of s1 (x0, 0)
+    cols = _first_repeat(window_keys(s2.colors, n, mode == "cyclic"), zip(repeat(0), count()))
+    rows = _first_repeat(window_keys(s1.colors, m, mode == "cyclic"), zip(count(), repeat(0)))
     table = _ProductEntries(rows, cols, s2.palette_size, m, n)
     return _keyed_codebook(m, n, s1.palette_size * s2.palette_size, mode, table)
 
@@ -365,7 +338,7 @@ def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
     key = tuple(sorted(colors))
     k = cb.palette_size
     if key and (key[0] < 1 or key[-1] > k):
-        Multiset.of(colors, k)  # raises, naming the first such color
+        _require_palette(k, colors)  # raises, naming the first such color
     _require_size(cb, len(key))
     pos = cb.entries.table.get(key)
     if pos is None:
@@ -387,7 +360,7 @@ def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
             f"multiset palette {s.palette_size} differs from codebook "
             f"palette {cb.palette_size}"
         )
-    colors = _sorted_colors(s.counts, cb.block_m * cb.block_n)
+    colors = _sorted_colors(s.counts, cb.palette_size, cb.block_m * cb.block_n)
     if colors is None:
         _require_size(cb, s.cardinality)
     return decode_colors(cb, colors)

@@ -17,6 +17,8 @@ codebook files share (``data_lines``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError
@@ -39,6 +41,34 @@ __all__ = [
 ]
 
 
+def _require_palette(k: int, colors: Sequence[int] = ()) -> None:
+    """The palette rule: k is at least 1 and every color lies in 1..k; the
+    error names the first color that does not."""
+    if k < 1:
+        raise InputError("palette size must be at least 1")
+    for c in colors:
+        if not 1 <= c <= k:
+            raise InputError(f"color {c} outside palette [1..{k}]")
+
+
+@cache
+def _indices(k: int) -> tuple[int, ...]:
+    return tuple(range(k))  # made once: compress over a range allocates k ints
+
+
+def _sorted_colors(counts: Sequence[int], k: int, size: int) -> tuple[int, ...] | None:
+    """The colors of a count vector, ascending (color i+1 counts[i] times), when
+    it has k entries, none negative, summing to size; otherwise None.  One pass
+    finds the colors present; only they are read before the expansion."""
+    if len(counts) != k:
+        return None
+    present = list(compress(_indices(k), counts))
+    mults = list(map(counts.__getitem__, present))
+    if sum(mults) != size or (mults and min(mults) < 0):
+        return None
+    return tuple([i + 1 for i in present for _ in range(counts[i])])
+
+
 @dataclass(frozen=True)
 class Multiset:
     """A multiset over [k], stored as its count vector in palette order.
@@ -59,12 +89,10 @@ class Multiset:
 
     @classmethod
     def of(cls, elements: Iterable[int], palette_size: int) -> "Multiset":
-        if palette_size < 1:
-            raise InputError("palette size must be at least 1")
+        colors = tuple(elements)
+        _require_palette(palette_size, colors)
         counts = [0] * palette_size
-        for color in elements:
-            if not 1 <= color <= palette_size:
-                raise InputError(f"color {color} outside palette [1..{palette_size}]")
+        for color in colors:
             counts[color - 1] += 1
         # Counts of a non-empty palette are valid by construction, so the
         # scan in __post_init__ is skipped: it would cost more than the count.
@@ -88,11 +116,9 @@ class Multiset:
         return sum(self.counts)
 
     def elements(self) -> list[int]:
-        """The colors with multiplicity, ascending."""
-        out: list[int] = []
-        for color, mult in enumerate(self.counts, start=1):
-            out.extend([color] * mult)
-        return out
+        """The colors with multiplicity, ascending: the key a codebook has for
+        them, expanded from the colors present (``_sorted_colors``)."""
+        return list(_sorted_colors(self.counts, self.palette_size, self.cardinality))
 
     def key(self) -> str:
         return "-".join(str(c) for c in self.counts)
@@ -107,15 +133,12 @@ class ColorSequence:
     mode: Mode = "cyclic"
 
     def __post_init__(self):
-        if self.palette_size < 1:
-            raise InputError("palette size must be at least 1")
+        _require_palette(self.palette_size)
         if len(self.colors) < 1:
             raise InputError("sequence must not be empty")
         if self.mode not in ("linear", "cyclic"):
             raise InputError(f"unknown mode {self.mode!r}")
-        for c in self.colors:
-            if not 1 <= c <= self.palette_size:
-                raise InputError(f"color {c} outside palette [1..{self.palette_size}]")
+        _require_palette(self.palette_size, self.colors)
 
     @classmethod
     def of(

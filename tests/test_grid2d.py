@@ -207,6 +207,37 @@ class TestCodebook:
             with pytest.raises(InputError, match="is no multiset of 2 colors over 3"):
                 Codebook(2, 1, 3, "plain", {key: (0, 0)})
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((0, 4, 2, "plain"), "block dimensions must be at least 1"),
+            ((1, 0, 2, "plain"), "block dimensions must be at least 1"),
+            ((-1, -1, 2, "plain"), "block dimensions must be at least 1"),
+            ((1, 1, 0, "plain"), "palette size must be at least 1"),
+            ((1, 1, 2, "torus"), "unknown grid mode 'torus'"),
+        ],
+    )
+    def test_codebook_checks_its_own_shape(self, shape, message):
+        entries = {(1, 0): (0, 0)} if shape[2] == 2 else {(): (0, 0)}
+        with pytest.raises(InputError, match=message):
+            Codebook(*shape, entries)
+
+    def test_codebook_shape_checked_for_tables_keyed_by_colors(self):
+        axis = linear_pairs_axis()
+        with pytest.raises(InputError, match="block dimensions must be at least 1"):
+            product_codebook(axis, axis, 0, 2)
+        with pytest.raises(InputError, match="block dimensions must be at least 1"):
+            parse_codebook("key,x0,y0\n0-0,4,4\n")  # zero colors: a 0x1 block
+        with pytest.raises(InputError, match="block dimensions must be at least 1"):
+            parse_codebook("# m=-1 n=-1 k=2\n1-0,0,0\n")
+
+    def test_count_vector_with_a_negative_count_is_no_key(self):
+        # it sums to the block size, and its colors present expand to a block
+        with pytest.raises(InputError, match="is no multiset of 2 colors over 3"):
+            Codebook(2, 1, 3, "plain", {(2, -1, 1): (0, 0)})
+        cb = Codebook(2, 1, 3, "plain", {(1, 0, 1): (0, 0)})
+        assert (2, -1, 1) not in cb.entries and (1, -1, 2) not in cb.entries
+
     def test_collision_names_positions(self):
         with pytest.raises(CollisionError) as err:
             build_codebook(uniform_grid(3), 2, 2)

@@ -1,18 +1,19 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
 the axis-backed product codebook against the grid's codebook, decoding from
-reported colors against decoding a multiset, compose_for_m's pick against
-the exhaustive palette oracle, and format-then-parse round trips of the
-sequence, grid and codebook files."""
+reported colors against decoding a multiset, the count-vector keys a
+codebook takes and finds against an independent oracle, compose_for_m's pick
+against the exhaustive palette oracle, and format-then-parse round trips of
+the sequence, grid and codebook files."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_compose, naive_distinguishable, naive_grid_distinguishable
 
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
-from mcgc.errors import ComposeError, McgcError, UnknownBlockError
+from mcgc.errors import ComposeError, InputError, McgcError, UnknownBlockError
 from mcgc.grid2d import (
     Codebook,
     ColorGrid2D,
@@ -163,6 +164,58 @@ def test_decode_colors_matches_decode(s1, s2, m, n, data):
         assert counts == sorted(counts) and len(counts) == cb.size
         for colors in queries:
             assert _outcome(decode_colors, cb, colors) == _outcome(_decode_multiset, cb, colors)
+
+
+def _count_vector_ok(v, k, size):
+    """Independent oracle: is v a codebook key of size colors over k?"""
+    return len(v) == k and min(v) >= 0 and sum(v) == size
+
+
+def count_vectors(k):
+    """Count vectors of length k-1..k+1 with entries in -1..3."""
+    return st.lists(st.integers(-1, 3), min_size=k - 1, max_size=k + 1).map(tuple)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 2), st.integers(1, 2),
+    st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), count_vectors(k))),
+    st.sampled_from(("plain", "cyclic")),
+)
+@example(2, 1, (3, (2, -1, 1)), "plain")
+@example(1, 2, (3, (1, -1, 2)), "cyclic")
+@example(1, 1, (1, ()), "plain")
+def test_codebook_takes_exactly_the_count_vectors_of_its_shape(m, n, case, mode):
+    k, v = case
+    try:
+        cb = Codebook(m, n, k, mode, {v: (0, 0)})
+    except InputError:
+        assert not _count_vector_ok(v, k, m * n)
+    else:
+        assert _count_vector_ok(v, k, m * n)
+        assert cb.entries[v] == (0, 0) and list(cb.entries) == [v]
+
+
+@PROPERTY
+@given(axes(), axes(), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_count_vector_lookup_matches_oracle(s1, s2, m, n, data):
+    g = product_grid(s1, s2)
+    books = [_outcome(build_codebook, g, m, n), _outcome(product_codebook, s1, s2, m, n)]
+    books = [cb for cb in books if isinstance(cb, Codebook)]
+    if not books:
+        return
+    k = g.palette_size
+    blocks = sorted({block_multiset(g, x0, y0, m, n).counts for x0, y0 in block_starts(g, m, n)})
+    # a block's vector with one entry moved by one: near misses, some negative
+    moved = st.tuples(st.sampled_from(blocks), st.integers(0, k - 1), st.sampled_from((-1, 1)))
+    nudged = moved.map(lambda b: b[0][: b[1]] + (b[0][b[1]] + b[2],) + b[0][b[1] + 1 :])
+    vectors = data.draw(
+        st.lists(st.one_of(st.sampled_from(blocks), nudged, count_vectors(k)), max_size=20)
+    )
+    for v in vectors:
+        want = _count_vector_ok(v, k, m * n) and v in blocks
+        for cb in books:
+            assert (v in cb.entries) == want
 
 
 def test_product_codebook_checks_the_pairs_not_only_the_projections():
