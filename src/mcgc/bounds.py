@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .construct import cyclic_length
+from .construct import cyclic_length, palettes
 from .errors import InputError, UnsupportedParameterError
 
 __all__ = [
@@ -80,60 +80,38 @@ class BoundRecord:
     existence_only: bool = False
 
 
-# Smallest palette each padded family is stated for.
-_Y0 = {2: 2, 3: 4, 4: 5, 6: 11}
+# Smallest palette the multiset-cycle family is stated for, per window.
+_Y0 = {2: 1, 3: 4, 4: 5, 6: 11}
 
 
 def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
     """(value, provenance, existence_only) for every family that applies.
 
-    Provenance names the mechanism: "mcycle-cut" cuts open a cycle covering
-    every m-multiset (attains the ceiling); "padded-mcycle-cut" pads such a
-    cycle on fewer colors with runs of fresh colors; "dense-cyclic-cut" cuts
-    the longest cyclic sequence when m divides k; "ucycle-cut" cuts a cycle
-    of distinct m-subsets.
+    Provenance names the mechanism.  For the windows in _Y0, from palette
+    _Y0[m] on, a cycle through every m-multiset on [k] is known when
+    gcd(k, m) = 1 (shown to exist, not built, for m > 2).  "mcycle-cut" cuts
+    it open and attains the ceiling; otherwise "padded-mcycle-cut" cuts open
+    such a cycle on k - j colors, for the least j with gcd(k - j, m) = 1,
+    and appends m copies of each of the j fresh colors.  "dense-cyclic-cut"
+    cuts open the base word build(m, k) of window 2 or 3; "ucycle-cut" cuts
+    a cycle of distinct m-subsets.
     """
-    out: list[tuple[int, str, bool]] = []
     if m == 1:
-        out.append((k, "exact", False))
-    elif m == 2:
-        if k % 2 == 1:
-            out.append((multichoose(k, 2) + 1, "mcycle-cut", False))
-        else:
-            if k >= _Y0[2]:
-                out.append((math.comb(k, 2) + 3, "padded-mcycle-cut", False))
-            if k >= 4:
-                out.append((cyclic_length(2, k) + 1, "dense-cyclic-cut", False))
-    elif m == 3:
-        if k % 3 != 0:
-            if k >= _Y0[3]:
-                out.append((multichoose(k, 3) + 2, "mcycle-cut", True))
-        else:
-            out.append((cyclic_length(3, k) + 2, "dense-cyclic-cut", False))
-            if k >= _Y0[3]:
-                out.append((math.comb(k + 1, 3) + 5, "padded-mcycle-cut", True))
-    elif m == 4:
-        if k >= _Y0[4]:
-            if k % 4 in (1, 3):
-                out.append((multichoose(k, 4) + 3, "mcycle-cut", True))
-            else:
-                out.append((math.comb(k + 2, 4) + 7, "padded-mcycle-cut", True))
-    elif m == 6:
-        if k >= _Y0[6]:
-            r = k % 6
-            if r in (1, 5):
-                out.append((multichoose(k, 6) + 5, "mcycle-cut", True))
-            elif r in (0, 2):
-                out.append((math.comb(k + 4, 6) + 11, "padded-mcycle-cut", True))
-            elif r == 3:
-                out.append((math.comb(k + 3, 6) + 17, "padded-mcycle-cut", True))
-            else:  # r == 4
-                out.append((math.comb(k + 2, 6) + 23, "padded-mcycle-cut", True))
-    else:
+        return [(k, "exact", False)]
+    out: list[tuple[int, str, bool]] = []
+    if m in (2, 3) and k in palettes(m, k):
+        out.append((cyclic_length(m, k) + m - 1, "dense-cyclic-cut", False))
+    if m not in _Y0:
         # general window size: only the subset-cycle family, and only under
         # its divisibility condition
         if k >= m and math.comb(k - 1, m - 1) % m == 0:
             out.append((math.comb(k, m) + m - 1, "ucycle-cut", True))
+    elif k >= _Y0[m]:
+        j = 0
+        while math.gcd(k - j, m) != 1:
+            j += 1
+        provenance = "padded-mcycle-cut" if j else "mcycle-cut"
+        out.append((multichoose(k - j, m) + (j + 1) * m - 1, provenance, m > 2))
     return out
 
 

@@ -3,7 +3,8 @@
 One tool exposing construction, verification, cutting, exhaustive search,
 bound/kmin/gain tables, grid building, codebook building, decoding, and the
 tracking simulator.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Data goes to stdout (or --output FILE); diagnostics go to stderr.
+Each ``cmd_*`` returns its data text and exit code; ``dispatch`` writes the
+text to stdout (or --output FILE) in one place.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_table(payload: list) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _read_sequences(path: str) -> list[ColorSequence]:
     seqs = parse_sequences(_read_text(path))
     if not seqs:
@@ -95,18 +100,17 @@ def _parse_range(text: str) -> list[int]:
     return _int_list(text)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[str, int]:
     seq = build(args.m, args.k)
     if args.linear:
         t = args.cut if args.cut is not None else len(seq) - 1
         seq = t_cut(seq, t, args.m)
     elif args.cut is not None:
         raise InputError("--cut only applies together with --linear")
-    _write(args.output, format_sequence(seq))
-    return 0
+    return format_sequence(seq), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     failures = 0
     lines = []
     for seq in _read_sequences(args.file):
@@ -124,28 +128,25 @@ def cmd_verify(args) -> int:
             result = {"ok": False, "collision": [i, j]}
             line = f"collision: windows {i} and {j} carry the same multiset"
         lines.append(json.dumps(result, sort_keys=True) if args.format == "json" else line)
-    _write(args.output, "\n".join(lines) + "\n")
-    return 1 if failures else 0
+    return "\n".join(lines) + "\n", 1 if failures else 0
 
 
-def cmd_cut(args) -> int:
+def cmd_cut(args) -> tuple[str, int]:
     seq = _read_sequences(args.file)[0].with_mode("cyclic")
-    _write(args.output, format_sequence(t_cut(seq, args.t, args.m)))
-    return 0
+    return format_sequence(t_cut(seq, args.t, args.m)), 0
 
 
-def cmd_search_max(args) -> int:
+def cmd_search_max(args) -> tuple[str, int]:
     result = brute_force_max_cyclic(args.m, args.k, args.cap)
     status = "proven" if result.proven else "cap-limited"
     comments = [
         f"search m={args.m} max={result.max_length} {status} "
         f"cap={result.cap} ceiling={result.ceiling}"
     ]
-    _write(args.output, format_sequence(result.witness, comments))
-    return 0
+    return format_sequence(result.witness, comments), 0
 
 
-def cmd_cross(args) -> int:
+def cmd_cross(args) -> tuple[str, int]:
     s = _read_sequences(args.s)[0].with_mode("cyclic")
     t = _read_sequences(args.t)[0].with_mode("cyclic")
     if min(t.colors) <= s.palette_size:
@@ -155,39 +156,31 @@ def cmd_cross(args) -> int:
     comments = [
         f"cross split={args.m1}+{args.m2} d={plan.d} L={plan.L}",
     ]
-    _write(args.output, format_sequence(out, comments))
-    return 0
+    return format_sequence(out, comments), 0
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args) -> tuple[str, int]:
     result = compose_for_m(args.m, max_colors=args.max_colors)
     split = "+".join(str(p) for p in result.split)
     comments = [f"compose split={split} palettes={','.join(map(str, result.factor_palettes))}"]
     comments.extend(
         f"stage {i}: d={plan.d} L={plan.L}" for i, plan in enumerate(result.plans)
     )
-    _write(args.output, format_sequence(result.sequence, comments))
-    return 0
+    return format_sequence(result.sequence, comments), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[str, int]:
     records = bounds_table(args.m, _parse_range(args.k_range))
     if args.format == "json":
-        payload = [asdict(r) for r in records]
-        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write(args.output, render_bounds_csv(records))
-    return 0
+        return _json_table([asdict(r) for r in records]), 0
+    return render_bounds_csv(records), 0
 
 
-def cmd_kmin(args) -> int:
+def cmd_kmin(args) -> tuple[str, int]:
     rows = kmin_table(_int_list(args.m), _int_list(args.sizes))
     if args.format == "json":
-        payload = [{"m": m, "M": M, "k": k} for m, M, k in rows]
-        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write(args.output, render_kmin_csv(rows))
-    return 0
+        return _json_table([{"m": m, "M": M, "k": k} for m, M, k in rows]), 0
+    return render_kmin_csv(rows), 0
 
 
 def _parse_blocks(text: str) -> list[tuple[int, int]]:
@@ -203,40 +196,35 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
     return blocks
 
 
-def cmd_gain(args) -> int:
+def cmd_gain(args) -> tuple[str, int]:
     records = gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
     if args.format == "json":
         payload = [asdict(r) | {"gain": gain_3dp(r.gain)} for r in records]
         for row in payload:
             del row["provenance"]  # the published tables have no such column
-        _write(args.output, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write(args.output, render_gain_csv(records))
-    return 0
+        return _json_table(payload), 0
+    return render_gain_csv(records), 0
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> tuple[str, int]:
     s = _read_sequences(args.s)[0]
     t = _read_sequences(args.t)[0]
-    _write(args.output, format_grid(product_grid(s, t)))
-    return 0
+    return format_grid(product_grid(s, t)), 0
 
 
-def cmd_codebook(args) -> int:
+def cmd_codebook(args) -> tuple[str, int]:
     grid = parse_grid(_read_text(args.grid))
     cb = build_codebook(grid, args.m, args.n)
-    _write(args.output, format_codebook(cb))
-    return 0
+    return format_codebook(cb), 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[str, int]:
     cb = parse_codebook(_read_text(args.codebook))
     pos = decode_colors(cb, _int_list(args.colors))
-    _write(args.output, f"{pos[0]} {pos[1]}\n")
-    return 0
+    return f"{pos[0]} {pos[1]}\n", 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, int]:
     if args.config:
         config = parse_config(_read_text(args.config))
     else:
@@ -249,8 +237,7 @@ def cmd_simulate(args) -> int:
     if args.records:
         ndjson = "".join(record.to_json() + "\n" for record in records)
         _write(args.records, ndjson)
-    _write(args.output, report.to_json() + "\n")
-    return 0
+    return report.to_json() + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +359,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _write(args.output, text)
+        return code
     except (McgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

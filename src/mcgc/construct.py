@@ -6,9 +6,9 @@ ones); m=3 grows a pair of base words recursively, three new colors per
 step.  Every generator validates its own output against the checker and the
 length formula before returning it.
 
-This module owns which palettes each window size is built for
-(``palettes``), the length of each build (``cyclic_length``) and the choice
-of generator (``build``); compositions, simulator axes and bound tables go
+One table (``_BASES``) holds, per window size, the palettes it is built for,
+the length of each build and the generator.  ``palettes``, ``cyclic_length``
+and ``build`` read it; compositions, simulator axes and bound tables go
 through these.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, SelfCheckError, UnsupportedParameterError
 from .eulerian import Multigraph, eulerian_circuit
-from .sequences import ColorSequence, check_distinguishable, t_cut
+from .sequences import ColorSequence, _require_distinguishable, t_cut
 
 __all__ = [
     "RecursionPair",
@@ -77,35 +77,36 @@ def canonical_one_factor(k: int) -> list[tuple[int, int]]:
     return [(v, v + 1) for v in range(1, k, 2)]
 
 
+# Base words by window: first palette, palette step, cyclic length on k
+# colors, and the generator's name.  build looks the generator up by name
+# when called, so a wrapper set on the module sees every build.
+_BASES = {
+    1: (1, 1, lambda k: k, "build_m1"),
+    2: (3, 1, lambda k: math.comb(k + 1, 2) - (0 if k % 2 else k // 2), "build_m2"),
+    3: (3, 3, lambda k: math.comb(k + 2, 3) - k // 3, "build_m3"),
+}
+
+
+def _base(m: int) -> tuple:
+    if m not in _BASES:
+        raise InputError(f"no base construction for window {m}")
+    return _BASES[m]
+
+
 def palettes(m: int, max_colors: int) -> range:
     """Palette sizes up to max_colors that build(m, k) accepts, ascending."""
-    if m not in (1, 2, 3):
-        raise InputError(f"no base construction for window {m}")
-    first, step = {1: (1, 1), 2: (3, 1), 3: (3, 3)}[m]
+    first, step, _, _ = _base(m)
     return range(first, max_colors + 1, step)
 
 
 def cyclic_length(m: int, k: int) -> int:
     """Length of the cyclic word build(m, k), for k in palettes(m, ...)."""
-    if m == 1:
-        return k
-    if m == 2:
-        return math.comb(k + 1, 2) - (k // 2 if k % 2 == 0 else 0)
-    if m == 3:
-        return math.comb(k + 2, 3) - k // 3
-    raise InputError(f"no base construction for window {m}")
+    return _base(m)[2](k)
 
 
 def build(m: int, k: int) -> ColorSequence:
-    """The cyclic m-distinguishable word on [k].  Each generator is looked up
-    by name when called, so a wrapper set on the module sees every build."""
-    if m == 1:
-        return build_m1(k)
-    if m == 2:
-        return build_m2(k)
-    if m == 3:
-        return build_m3(k)
-    raise InputError(f"no base construction for window {m}")
+    """The cyclic m-distinguishable word on [k]."""
+    return globals()[_base(m)[3]](k)
 
 
 def _self_check(seq: ColorSequence, m: int) -> None:
@@ -114,11 +115,7 @@ def _self_check(seq: ColorSequence, m: int) -> None:
         raise SelfCheckError(
             f"built length {len(seq)} disagrees with formula value {want_length}"
         )
-    report = check_distinguishable(seq, m)
-    if not report.ok:
-        raise SelfCheckError(
-            f"output failed {m}-distinguishability at windows {report.collision}"
-        )
+    _require_distinguishable(seq, m, f"output failed {m}-distinguishability")
 
 
 def build_m2(k: int) -> ColorSequence:
@@ -257,9 +254,5 @@ def pad_with_new_colors(seq: ColorSequence, m: int, new_colors: int) -> ColorSeq
     for i in range(1, new_colors + 1):
         colors.extend([seq.palette_size + i] * m)
     out = ColorSequence(tuple(colors), seq.palette_size + new_colors, "linear")
-    report = check_distinguishable(out, m)
-    if not report.ok:
-        raise SelfCheckError(
-            f"padded sequence failed validation at windows {report.collision}"
-        )
+    _require_distinguishable(out, m, "padded sequence failed validation")
     return out

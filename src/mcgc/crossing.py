@@ -20,7 +20,7 @@ from .errors import (
     PlanError,
     SelfCheckError,
 )
-from .sequences import ColorSequence, check_distinguishable
+from .sequences import ColorSequence, _require_distinguishable
 
 __all__ = [
     "CrossProductPlan",
@@ -124,11 +124,7 @@ def cross(s: ColorSequence, t: ColorSequence, plan: CrossProductPlan) -> ColorSe
     if len(result) != plan.output_length:
         raise SelfCheckError("interleaved length disagrees with the plan")
     m = plan.m1 + plan.m2
-    report = check_distinguishable(result, m)
-    if not report.ok:
-        raise SelfCheckError(
-            f"interleaving failed {m}-distinguishability at windows {report.collision}"
-        )
+    _require_distinguishable(result, m, f"interleaving failed {m}-distinguishability")
     return result
 
 

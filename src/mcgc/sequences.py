@@ -21,7 +21,7 @@ from functools import cache
 from itertools import compress
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .errors import InputError
+from .errors import InputError, SelfCheckError
 
 Mode = Literal["linear", "cyclic"]
 
@@ -238,6 +238,13 @@ def check_distinguishable(seq: ColorSequence, m: int) -> DistinguishabilityRepor
     """Are all window multisets pairwise distinct?"""
     starts = window_starts(seq, m)
     return keyed_report(window_keys(seq.colors, m, seq.mode == "cyclic"), starts)
+
+
+def _require_distinguishable(seq: ColorSequence, m: int, what: str) -> None:
+    """Self-check: raise SelfCheckError "<what> at windows <collision>"."""
+    report = check_distinguishable(seq, m)
+    if not report.ok:
+        raise SelfCheckError(f"{what} at windows {report.collision}")
 
 
 def t_cut(seq: ColorSequence, t: int, m: int) -> ColorSequence:

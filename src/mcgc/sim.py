@@ -105,7 +105,7 @@ def _make_config(values: dict, traj: str) -> SimConfig:
 
 def parse_config(text: str) -> SimConfig:
     """Flat key=value config: cells, m, slots, bits, seed, traj; any other
-    key is refused."""
+    key, or a key given twice, is refused."""
     values: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -117,6 +117,8 @@ def parse_config(text: str) -> SimConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS and key != "traj":
             raise InputError(f"unknown config key {key!r}")
+        if key in values:
+            raise InputError(f"config key {key!r} given twice")
         values[key] = value.strip()
     missing = sorted(set(_CONFIG_KEYS) - values.keys())
     if missing:

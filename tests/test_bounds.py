@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -249,3 +250,38 @@ class TestTables:
         assert [(r.M, r.N) for r in records] == [
             (50, 50), (50, 200), (200, 50), (200, 200),
         ]
+
+
+def _sha256(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update((line + "\n").encode())
+    return digest.hexdigest()
+
+
+def _record_or_refusal(m: int, k: int) -> str:
+    try:
+        return repr(bound_record(m, k))
+    except UnsupportedParameterError as exc:
+        return str(exc)
+
+
+class TestBoundSweepPin:
+    """Every family and threshold at once: the records (or refusals) for
+    m 1..13 x k 1..399 and the minimal palettes for m 1..7, pinned by sha256."""
+
+    def test_bound_records(self):
+        lines = (_record_or_refusal(m, k) for m in range(1, 14) for k in range(1, 400))
+        assert _sha256(lines) == (
+            "6682cf9b2f010fda923d5bb9b1463d4e120ee947fcf9dbdec5ea3df3139d2aff"
+        )
+
+    def test_min_colors(self):
+        lines = (
+            f"{m},{M},{min_colors_1d(M, m)}"
+            for m in range(1, 8)
+            for M in [*range(m, 400), 1000, 5000, 20000]
+        )
+        assert _sha256(lines) == (
+            "655e24255174f0b76f9feebf867c4116e8a3ddb6b4dcb4f4e15f22e74a0805f7"
+        )

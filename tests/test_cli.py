@@ -60,6 +60,13 @@ class TestConstructVerify:
         assert code == 1
         assert "13 and 14" in out
 
+    def test_verify_collision_to_output_file_exit_1(self, tmp_path, capsys):
+        path = write_probe(tmp_path)
+        target = tmp_path / "report.txt"
+        code, out, _ = run_cli(capsys, "verify", "--m", "3", "--cyclic", path, "-o", str(target))
+        assert (code, out) == (1, "")
+        assert target.read_text() == "collision: windows 13 and 14 carry the same multiset\n"
+
     def test_verify_json_format(self, tmp_path, capsys):
         path = write_probe(tmp_path)
         code, out, _ = run_cli(
@@ -302,6 +309,13 @@ class TestSimulateCli:
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["accuracy"] == 1.0
+
+    def test_config_file_repeated_key_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("cells=3\nm=2\nslots=10\nbits=8\nseed=1\ncells=50\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: config key 'cells' given twice\n"
 
     @pytest.mark.parametrize("traj", ["uniform", "walk", "walk:0.3"])
     def test_config_file_matches_flags(self, tmp_path, capsys, traj):

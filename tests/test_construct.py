@@ -5,6 +5,7 @@ import pytest
 
 from vectors import BASE_K3, BASE_K6, CIRCUIT_6, DOUBLED_6, X9, Y9, Z9
 
+from mcgc import construct
 from mcgc.construct import (
     RecursionPair,
     _y_word,
@@ -20,8 +21,9 @@ from mcgc.construct import (
     palettes,
     repeat_first_occurrences,
 )
-from mcgc.errors import InputError, UnsupportedParameterError
-from mcgc.sequences import check_distinguishable, t_cut, window_multiset
+from mcgc.crossing import compose_for_m
+from mcgc.errors import InputError, SelfCheckError, UnsupportedParameterError
+from mcgc.sequences import ColorSequence, check_distinguishable, t_cut, window_multiset
 
 
 def digits(seq):
@@ -165,6 +167,12 @@ class TestPadWithNewColors:
         with pytest.raises(InputError):
             pad_with_new_colors(build_m2(5), 2, -1)
 
+    def test_self_check_names_the_collision(self):
+        word = ColorSequence.from_digits("1111", 1)
+        with pytest.raises(SelfCheckError) as info:
+            pad_with_new_colors(word, 2, 0)
+        assert str(info.value) == "padded sequence failed validation at windows (0, 1)"
+
 
 class TestBaseDispatch:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -175,6 +183,27 @@ class TestBaseDispatch:
             seq = build(m, k)
             assert len(seq) == cyclic_length(m, k)
             assert seq == {1: build_m1, 2: build_m2, 3: build_m3}[m](k)
+
+    def test_generators_looked_up_when_called(self, monkeypatch):
+        # a wrapper set on the module (as the tracer does) sees every build
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return build_m2(k)
+
+        monkeypatch.setattr(construct, "build_m2", counting)
+        assert build(2, 5) == build_m2(5)
+        assert calls == [5]
+        compose_for_m(4)
+        assert len(calls) == 3
+
+    def test_build_self_check_names_the_collision(self, monkeypatch):
+        # a circuit of the right length whose windows repeat
+        monkeypatch.setattr(construct, "eulerian_circuit", lambda g, start: [1] * 6)
+        with pytest.raises(SelfCheckError) as info:
+            build_m2(3)
+        assert str(info.value) == "output failed 2-distinguishability at windows (0, 1)"
 
     @pytest.mark.parametrize("call", [build, cyclic_length, palettes])
     def test_windows_without_a_generator_rejected(self, call):

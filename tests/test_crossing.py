@@ -16,7 +16,8 @@ from mcgc.crossing import (
     shift_palette,
     split_window,
 )
-from mcgc.errors import ComposeError, InputError, PaletteError, PlanError
+from mcgc.construct import build_m2
+from mcgc.errors import ComposeError, InputError, PaletteError, PlanError, SelfCheckError
 from mcgc.sequences import ColorSequence, check_distinguishable, window_starts
 
 
@@ -118,6 +119,16 @@ class TestCross:
         with pytest.raises(PlanError) as err:
             cross(s, t, plan_cross(12, 2, 18, 3))
         assert err.value.failed == "plan-mismatch"
+
+    def test_self_check_names_the_collision(self):
+        # a valid plan whose first operand is not 3-distinguishable
+        s = cyclic((1, 1, 1, 2, 2, 2, 1, 1, 1), 2)
+        t = shift_palette(build_m2(3), 2)
+        with pytest.raises(SelfCheckError) as info:
+            cross(s, t, plan_cross(9, 3, 6, 2))
+        assert str(info.value) == (
+            "interleaving failed 5-distinguishability at windows (10, 11)"
+        )
 
     def test_linear_operands_rejected(self):
         s = cyclic(CROSS_S, 5).with_mode("linear")

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(InputError, match="unknown config key 'trajectory'"):
             parse_config(text)
 
+    def test_config_file_repeated_key(self):
+        # a repeated key is refused rather than the last value taken
+        text = "cells=3\nm=2\nslots=10\nbits=8\nseed=1\ncells=50\n"
+        with pytest.raises(InputError, match="config key 'cells' given twice"):
+            parse_config(text)
+
 
 class TestAxisSequence:
     def test_lengths_and_validity(self):
