@@ -68,7 +68,16 @@ from .sequences import (
     t_cut,
     window_multiset,
 )
-from .sim import Deployment, SimConfig, SimReport, SlotRecord, deploy, run
+from .sim import (
+    Deployment,
+    SimConfig,
+    SimReport,
+    SlotRecord,
+    deploy,
+    iter_slots,
+    run,
+    summarize,
+)
 
 __version__ = "0.1.0"
 
@@ -125,6 +134,8 @@ __all__ = [
     "SlotRecord",
     "Deployment",
     "deploy",
+    "summarize",
+    "iter_slots",
     "run",
     # errors
     "McgcError",

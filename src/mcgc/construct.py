@@ -22,6 +22,7 @@ from .eulerian import Multigraph, eulerian_circuit
 from .sequences import ColorSequence, _require_distinguishable, t_cut
 
 __all__ = [
+    "MAX_LENGTH",
     "RecursionPair",
     "palettes",
     "cyclic_length",
@@ -87,6 +88,12 @@ _BASES = {
 }
 
 
+# The longest word build and compose_for_m make: a million symbols build
+# and self-check in seconds within about half a gigabyte; longer words are
+# refused before anything is allocated (or recursed into, for m=3).
+MAX_LENGTH = 2**20
+
+
 def _base(m: int) -> tuple:
     if m not in _BASES:
         raise InputError(f"no base construction for window {m}")
@@ -105,8 +112,15 @@ def cyclic_length(m: int, k: int) -> int:
 
 
 def build(m: int, k: int) -> ColorSequence:
-    """The cyclic m-distinguishable word on [k]."""
-    return globals()[_base(m)[3]](k)
+    """The cyclic m-distinguishable word on [k]; a word longer than
+    MAX_LENGTH raises UnsupportedParameterError before it is built."""
+    _, _, length, name = _base(m)
+    if k in palettes(m, k) and length(k) > MAX_LENGTH:
+        raise UnsupportedParameterError(
+            f"the window-{m} word on {k} colors has {length(k)} symbols, "
+            f"more than the limit of {MAX_LENGTH}"
+        )
+    return globals()[name](k)
 
 
 def _self_check(seq: ColorSequence, m: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import build, cyclic_length, palettes
+from .construct import MAX_LENGTH, build, cyclic_length, palettes
 from .errors import (
     ComposeError,
     InputError,
@@ -196,7 +196,8 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
     the factors need, and its spare colors double up to max_colors until
     some fold admits a valid plan at every stage and reaches min_length.
     The pick is the fewest colors, then the shortest output, then the
-    smaller palettes in order.
+    smaller palettes in order.  A pick longer than construct.MAX_LENGTH
+    raises ComposeError before anything is built.
     """
     if min_length < 1:
         raise InputError("min_length must be at least 1")
@@ -215,7 +216,13 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
             f"no window-{m} word from split {'+'.join(map(str, parts))} "
             f"reaches length {min_length} within {max_colors} colors"
         )
-    ks, plans = walked[min(reached)]
+    pick = min(reached)
+    if pick[1] > MAX_LENGTH:
+        raise ComposeError(
+            f"the window-{m} word picked for length {min_length} has {pick[1]} "
+            f"symbols, more than the limit of {MAX_LENGTH}"
+        )
+    ks, plans = walked[pick]
     seq = build(parts[0], ks[0])
     for part, k, plan in zip(parts[1:], ks[1:], plans):
         factor = shift_palette(build(part, k), seq.palette_size)

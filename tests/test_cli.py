@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
+from mcgc import sim
 from mcgc.cli import dispatch
 
 
@@ -33,6 +35,15 @@ class TestConstructVerify:
         colors = out.strip().splitlines()[-1].split()
         assert len(colors) == 162
         assert out.startswith("# k=9 mode=cyclic\n")
+
+    def test_construct_beyond_the_length_limit_exit_1(self, capsys):
+        # this ended in a RecursionError traceback
+        code, out, err = run_cli(capsys, "construct", "--m", "3", "--k", "3006")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the window-3 word on 3006 colors has 4531572054 symbols, "
+            "more than the limit of 1048576\n"
+        )
 
     def test_construct_linear_cut(self, capsys):
         code, out, _ = run_cli(
@@ -286,6 +297,45 @@ class TestSimulateCli:
         assert len(lines) == 40
         first = json.loads(lines[0])
         assert first["decoded"] == first["cell"]
+
+    def test_records_stream_in_flat_memory(self, tmp_path, capsys):
+        # holding every record until the end peaked at 46.6 MB
+        path = tmp_path / "records.ndjson"
+        argv = [
+            "simulate", "--cells", "50", "--m", "2", "--slots", "50000",
+            "--bits", "8", "--seed", "1", "--records", str(path),
+        ]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < 8 * 2**20
+        report, records = mcgc.run(mcgc.SimConfig(50, 2, 50000, 8, seed=1))
+        assert out == report.to_json() + "\n"
+        assert path.read_text() == "".join(r.to_json() + "\n" for r in records)
+
+    def test_failed_run_keeps_the_records_before_it(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def decode_wrong_at_slot_3(codebook, colors):
+            calls.append(colors)
+            decoded = mcgc.decode_colors(codebook, colors)
+            return (-1, -1) if len(calls) == 4 else decoded
+
+        monkeypatch.setattr(sim, "decode_colors", decode_wrong_at_slot_3)
+        path = tmp_path / "records.ndjson"
+        code, out, err = run_cli(
+            capsys, "simulate", "--cells", "6", "--m", "2", "--slots", "10",
+            "--bits", "8", "--seed", "5", "--records", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: slot 3: decoded (-1, -1) but object is at ")
+        monkeypatch.undo()
+        records = mcgc.run(mcgc.SimConfig(6, 2, 10, 8, seed=5))[1]
+        assert path.read_text() == "".join(r.to_json() + "\n" for r in records[:3])
 
     def test_missing_seed_rejected(self, capsys):
         code, _, err = run_cli(

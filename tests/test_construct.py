@@ -205,6 +205,30 @@ class TestBaseDispatch:
             build_m2(3)
         assert str(info.value) == "output failed 2-distinguishability at windows (0, 1)"
 
+    def test_word_beyond_the_length_limit_refused_before_building(self, monkeypatch):
+        # build_m3 recurses once per three colors: a RecursionError at k=3006
+        def unreachable(k):
+            raise AssertionError(f"build_m3({k}) called")
+
+        monkeypatch.setattr(construct, "build_m3", unreachable)
+        with pytest.raises(UnsupportedParameterError) as info:
+            build(3, 3006)
+        assert str(info.value) == (
+            "the window-3 word on 3006 colors has 4531572054 symbols, "
+            "more than the limit of 1048576"
+        )
+
+    def test_length_limit_is_inclusive_and_only_for_buildable_palettes(self, monkeypatch):
+        monkeypatch.setattr(construct, "MAX_LENGTH", cyclic_length(2, 7))
+        assert len(build(2, 7)) == 28
+        with pytest.raises(UnsupportedParameterError, match="more than the limit of 28"):
+            build(2, 8)
+        # palettes build refuses anyway keep their own messages
+        with pytest.raises(UnsupportedParameterError, match="positive multiple of 3, got 3007"):
+            build(3, 3007)
+        with pytest.raises(UnsupportedParameterError, match="need k >= 3"):
+            build(2, -5)
+
     @pytest.mark.parametrize("call", [build, cyclic_length, palettes])
     def test_windows_without_a_generator_rejected(self, call):
         for m in (0, 4):

@@ -9,6 +9,7 @@ import pytest
 from vectors import CROSS_S, CROSS_T
 
 import mcgc
+from mcgc import crossing
 from mcgc.crossing import (
     compose_for_m,
     cross,
@@ -200,6 +201,19 @@ class TestCompose:
         # one window-3 factor per three units of m; the walk is iterative
         with pytest.raises(ComposeError, match="within 3000 colors"):
             compose_for_m(3000, max_colors=3000, min_length=10**12)
+
+    def test_pick_beyond_the_length_limit_refused_before_building(self, monkeypatch):
+        # the pick is a 2.5e12-symbol fold; building it ran out of memory
+        def unreachable(m, k):
+            raise AssertionError(f"build({m}, {k}) called")
+
+        monkeypatch.setattr(crossing, "build", unreachable)
+        with pytest.raises(ComposeError) as info:
+            compose_for_m(100, max_colors=300, min_length=10**12)
+        assert str(info.value) == (
+            "the window-100 word picked for length 1000000000000 has "
+            "2505991488000 symbols, more than the limit of 1048576"
+        )
 
     def test_unreachable_length_fails_fast(self):
         # merged (colors used, length) states keep the failure path small

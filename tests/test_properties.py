@@ -2,8 +2,12 @@
 the axis-backed product codebook against the grid's codebook, decoding from
 reported colors against decoding a multiset, the count-vector keys a
 codebook takes and finds against an independent oracle, compose_for_m's pick
-against the exhaustive palette oracle, and format-then-parse round trips of
-the sequence, grid and codebook files."""
+against the exhaustive palette oracle, format-then-parse round trips of
+the sequence, grid and codebook files, and a slot record's JSON against
+json.dumps."""
+
+import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -37,6 +41,7 @@ from mcgc.sequences import (
     format_sequence,
     parse_sequences,
 )
+from mcgc.sim import SlotRecord
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -307,3 +312,34 @@ def test_grid_files_round_trip(case, data):
 def test_codebook_files_round_trip(cb, data):
     assert parse_codebook(format_codebook(cb)) == cb
     assert parse_codebook(data.draw(split_header(format_codebook(cb)))) == cb
+
+
+# Small ints, and ints beyond 64 bits of either sign.
+RECORD_INT = st.one_of(
+    st.integers(-1000, 1000), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63))
+)
+RECORD_POINT = st.tuples(RECORD_INT, RECORD_INT)
+
+
+@st.composite
+def slot_records(draw):
+    """Records whose sensors and report have as many entries as an m x m
+    block for m = 1, 2, 3."""
+    size = draw(st.sampled_from((1, 4, 9)))
+    return SlotRecord(
+        draw(RECORD_INT),
+        draw(RECORD_POINT),
+        tuple(draw(st.lists(RECORD_POINT, min_size=size, max_size=size))),
+        tuple(draw(st.lists(RECORD_INT, min_size=size, max_size=size))),
+        draw(RECORD_POINT),
+        draw(RECORD_INT),
+    )
+
+
+@PROPERTY
+@given(slot_records())
+@example(SlotRecord(-1, (2**64, -3), ((0, -(2**70)),), (2**63,), (5, -6), 0))
+def test_slot_record_json_matches_json_dumps(record):
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert record.to_json() == want

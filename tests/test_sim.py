@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from mcgc import sim
 from mcgc.bounds import min_colors_1d
 from mcgc.errors import ComposeError, InputError, McgcError
 from mcgc.grid2d import block_multiset, block_starts, decode
@@ -13,6 +14,7 @@ from mcgc.sim import (
     SimConfig,
     axis_sequence,
     deploy,
+    iter_slots,
     parse_config,
     parse_trajectory,
     run,
@@ -159,6 +161,30 @@ class TestRun:
         b = run(SimConfig(6, 3, 300, 8, seed=77))
         assert [r.to_json() for r in a[1]] == [r.to_json() for r in b[1]]
         assert a[0].to_json() == b[0].to_json()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("trajectory", ["uniform", "walk"])
+    def test_run_lists_the_slot_generator(self, m, trajectory):
+        config = SimConfig(7, m, 300, 8, seed=13, trajectory=trajectory)
+        assert run(config)[1] == list(iter_slots(config, deploy(config)))
+
+    def test_records_of_a_cell_share_their_tuples(self):
+        _, records = run(SimConfig(4, 3, 200, 8, seed=6))
+        first = {}
+        for r in records:
+            seen = first.setdefault(r.cell, r)
+            assert r.cell is seen.cell and r.sensors is seen.sensors
+            assert r.decoded is r.cell
+        assert len(first) < len(records)
+
+    def test_full_tuple_cache_starts_over_with_the_same_records(self, monkeypatch):
+        config = SimConfig(7, 2, 300, 8, seed=13)
+        want = run(config)[1]
+        monkeypatch.setattr(sim, "_VISITED_CELLS", 2)
+        records = run(config)[1]
+        assert records == want
+        # 49 cells, yet the emptied cache made more sensor tuples than that
+        assert len({id(r.sensors) for r in records}) > 49
 
     def test_different_seeds_differ(self):
         a = run(SimConfig(6, 2, 200, 8, seed=1))[1]
