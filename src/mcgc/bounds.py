@@ -8,6 +8,7 @@ gain tables truncate to three decimals rather than round (0.4347 prints as
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,13 +153,14 @@ def min_colors_1d(M: int, m: int, k_limit: int = 10_000_000) -> int:
     """Smallest palette whose best known length bound reaches M.
 
     Palettes below a family's stated threshold are skipped rather than
-    guessed at, so the answer is the smallest supported k.
+    guessed at, so the answer is the smallest supported k.  The scan starts
+    at the least k whose linear ceiling (increasing in k) reaches M.
     """
     if m < 1 or M < m:
         raise InputError("need M >= m >= 1")
-    k = 0
-    while k < k_limit:
-        k += 1
+    ks = range(1, k_limit + 1)
+    start = bisect_left(ks, M, key=lambda k: upper_bound(m, k, cyclic=False))
+    for k in ks[start:]:
         try:
             if lower_bound(m, k) >= M:
                 return k

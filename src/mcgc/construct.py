@@ -2,9 +2,9 @@
 
 m=1 is the bare palette; m=2 walks an Eulerian circuit of the complete graph
 (with a loop per vertex for odd palettes, minus a perfect matching for even
-ones); m=3 grows a pair of base words recursively, three new colors per
-step.  Every generator validates its own output against the checker and the
-length formula before returning it.
+ones); m=3 grows a (head, tail) pair in one loop, three new colors per step.
+Every generator refuses a word longer than MAX_LENGTH before building it and
+validates its own output against the checker and the length formula.
 
 One table (``_BASES``) holds, per window size, the palettes it is built for,
 the length of each build and the generator.  ``palettes``, ``cyclic_length``
@@ -39,8 +39,8 @@ __all__ = [
 # Base words for the m=3 family.  The 54-symbol word on six colors splits
 # into the 9-symbol word on three colors plus a 45-symbol tail; the
 # recursion consumes such (head, tail) pairs.
-_BASE_M3_K3 = "111222333"
 _BASE_M3_K6 = "111222333" "116631552245353244336214146262514365554446665"
+_BASE_M3_K3 = _BASE_M3_K6[:9]
 
 # Word templates for one m=3 recursion step.  Letters a..f stand for the six
 # highest colors k-5..k; digit characters are literal colors.
@@ -55,6 +55,7 @@ def build_m1(k: int) -> ColorSequence:
     """The palette itself, 1..k; cyclic 1-distinguishable."""
     if k < 1:
         raise InputError("k must be at least 1")
+    _require_length(k, f"the window-1 word on {k} colors")
     return ColorSequence(tuple(range(1, k + 1)), k, "cyclic")
 
 
@@ -88,10 +89,16 @@ _BASES = {
 }
 
 
-# The longest word build and compose_for_m make: a million symbols build
-# and self-check in seconds within about half a gigabyte; longer words are
-# refused before anything is allocated (or recursed into, for m=3).
+# The longest word a generator, compose_for_m or a codebook file makes: a
+# million symbols build and self-check in seconds within about half a
+# gigabyte; _require_length refuses longer ones before allocating them.
 MAX_LENGTH = 2**20
+
+
+def _require_length(length: int, what: str, error=UnsupportedParameterError) -> None:
+    """Raise error naming what and its length when it exceeds MAX_LENGTH."""
+    if length > MAX_LENGTH:
+        raise error(f"{what} has {length} symbols, more than the limit of {MAX_LENGTH}")
 
 
 def _base(m: int) -> tuple:
@@ -115,11 +122,8 @@ def build(m: int, k: int) -> ColorSequence:
     """The cyclic m-distinguishable word on [k]; a word longer than
     MAX_LENGTH raises UnsupportedParameterError before it is built."""
     _, _, length, name = _base(m)
-    if k in palettes(m, k) and length(k) > MAX_LENGTH:
-        raise UnsupportedParameterError(
-            f"the window-{m} word on {k} colors has {length(k)} symbols, "
-            f"more than the limit of {MAX_LENGTH}"
-        )
+    if k in palettes(m, k):
+        _require_length(length(k), f"the window-{m} word on {k} colors")
     return globals()[name](k)
 
 
@@ -148,6 +152,7 @@ def build_m2(k: int) -> ColorSequence:
         raise UnsupportedParameterError(
             f"no 2-distinguishable construction for k={k}; need k >= 3"
         )
+    _require_length(cyclic_length(2, k), f"the window-2 word on {k} colors")
     if k % 2 == 1:
         g = Multigraph.complete(k, loops=True)
         seq = ColorSequence(tuple(eulerian_circuit(g, 1)), k, "cyclic")
@@ -183,13 +188,10 @@ def _letter_map(k: int) -> dict[str, int]:
     return {ch: k - 5 + i for i, ch in enumerate("abcdef")}
 
 
-def _instantiate(template: str, k: int) -> tuple[int, ...]:
-    lut = _letter_map(k)
-    return tuple(lut[ch] if ch in lut else int(ch) for ch in template)
-
-
 def _y_word(k: int) -> tuple[int, ...]:
-    return _instantiate(_Y_EVEN if k % 2 == 0 else _Y_ODD, k)
+    lut = _letter_map(k)
+    template = _Y_EVEN if k % 2 == 0 else _Y_ODD
+    return tuple(lut[ch] if ch in lut else int(ch) for ch in template)
 
 
 def _z_word(k: int) -> tuple[int, ...]:
@@ -214,24 +216,23 @@ def _check_pair(pair: RecursionPair) -> None:
 
 
 def build_m3_pair(k: int) -> RecursionPair:
-    """The (head, tail) split behind build_m3, for k a multiple of 3, k >= 6."""
+    """The (head, tail) split behind build_m3, for k a multiple of 3, k >= 6,
+    grown from the six-color base word three colors per step."""
     if k < 6 or k % 3 != 0:
         raise UnsupportedParameterError(
             f"recursion pair needs k a multiple of 3 with k >= 6, got {k}"
         )
-    if k == 6:
-        word = tuple(int(ch) for ch in _BASE_M3_K6)
-        pair = RecursionPair(word[:9], word[9:], 6)
-    else:
-        prev = build_m3_pair(k - 3)
-        relabel = {k - 5: k - 2, k - 4: k - 1, k - 3: k}
-        x = tuple(relabel.get(c, c) for c in prev.t_part)
-        pair = RecursionPair(
-            prev.s_part + prev.t_part,
-            x + _y_word(k) + _z_word(k),
-            k,
-        )
+    _require_length(cyclic_length(3, k), f"the window-3 word on {k} colors")
+    word = tuple(int(ch) for ch in _BASE_M3_K6)
+    pair = RecursionPair(word[:9], word[9:], 6)
     _check_pair(pair)
+    for j in range(9, k + 1, 3):
+        relabel = {j - 5: j - 2, j - 4: j - 1, j - 3: j}
+        x = tuple(relabel.get(c, c) for c in pair.t_part)
+        pair = RecursionPair(
+            pair.s_part + pair.t_part, x + _y_word(j) + _z_word(j), j
+        )
+        _check_pair(pair)
     return pair
 
 

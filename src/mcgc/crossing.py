@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import MAX_LENGTH, build, cyclic_length, palettes
+from .construct import _require_length, build, cyclic_length, palettes
 from .errors import (
     ComposeError,
     InputError,
@@ -112,14 +112,12 @@ def cross(s: ColorSequence, t: ColorSequence, plan: CrossProductPlan) -> ColorSe
         raise PaletteError(
             f"second operand must use colors strictly above the first palette 1..{k1}"
         )
-    a = plan.M1 // plan.m1
-    b = plan.M2 // plan.m2
-    alphas = [s.colors[i * plan.m1 : (i + 1) * plan.m1] for i in range(a)]
-    betas = [t.colors[j * plan.m2 : (j + 1) * plan.m2] for j in range(b)]
+    alphas = [s.colors[i : i + plan.m1] for i in range(0, plan.M1, plan.m1)]
+    betas = [t.colors[j : j + plan.m2] for j in range(0, plan.M2, plan.m2)]
     out: list[int] = []
-    for x in range(plan.L):
-        out.extend(alphas[x % a])
-        out.extend(betas[x % b])
+    for i, j in plan.index_pairs():
+        out.extend(alphas[i])
+        out.extend(betas[j])
     result = ColorSequence(tuple(out), t.palette_size, "cyclic")
     if len(result) != plan.output_length:
         raise SelfCheckError("interleaved length disagrees with the plan")
@@ -217,11 +215,8 @@ def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeR
             f"reaches length {min_length} within {max_colors} colors"
         )
     pick = min(reached)
-    if pick[1] > MAX_LENGTH:
-        raise ComposeError(
-            f"the window-{m} word picked for length {min_length} has {pick[1]} "
-            f"symbols, more than the limit of {MAX_LENGTH}"
-        )
+    what = f"the window-{m} word picked for length {min_length}"
+    _require_length(pick[1], what, ComposeError)
     ks, plans = walked[pick]
     seq = build(parts[0], ks[0])
     for part, k, plan in zip(parts[1:], ks[1:], plans):

@@ -21,6 +21,7 @@ from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .bounds import multichoose
+from .construct import _require_length
 from .errors import (
     CardinalityError,
     CollisionError,
@@ -398,6 +399,7 @@ def format_codebook(cb: Codebook) -> str:
         "key,x0,y0",
     ]
     table, k = cb.entries.table, cb.palette_size
+    _require_length(k, "each count vector in the codebook file", InputError)
     # keys of one size: descending sorted colors are ascending count vectors
     for colors in sorted(table, reverse=True):
         x0, y0 = table[colors]
@@ -440,6 +442,7 @@ def parse_codebook(text: str) -> Codebook:
         raise InputError(
             f"codebook header disagrees with its rows: {card} of {k} colors each"
         )
+    _require_length(card, "each multiset in the codebook file", InputError)
     table = {
         tuple([c for c, count in counts for _ in range(count)]): start
         for (_, counts), start in rows.items()

@@ -79,10 +79,8 @@ class SimConfig:
 
 def parse_trajectory(text: str) -> tuple[str, float]:
     """'uniform', 'walk', or 'walk:P' with move probability P."""
-    if text == "uniform":
-        return "uniform", 0.5
-    if text == "walk":
-        return "walk", 0.5
+    if text in ("uniform", "walk"):
+        return text, 0.5
     if text.startswith("walk:"):
         try:
             return "walk", float(text[5:])

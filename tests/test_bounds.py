@@ -5,6 +5,7 @@ import pytest
 
 from vectors import GAIN_43, GAIN_ERRATA, GAIN_MM, KMIN_TABLE, SIZES
 
+from mcgc import bounds
 from mcgc.bounds import (
     bound_record,
     bounds_table,
@@ -158,6 +159,18 @@ class TestMinColors:
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):
             min_colors_1d(1, 2)
+
+    @pytest.mark.parametrize("m, k", [(1, 10**7), (2, 4473), (3, 391), (4, 123)])
+    def test_scan_starts_at_the_linear_ceiling(self, m, k, monkeypatch):
+        calls = []
+
+        def counting(m, k):
+            calls.append(k)
+            return lower_bound(m, k)
+
+        monkeypatch.setattr(bounds, "lower_bound", counting)
+        assert min_colors_1d(10**7, m) == k
+        assert len(calls) < 50
 
 
 class TestCodingGain:

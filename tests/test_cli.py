@@ -238,6 +238,25 @@ class TestGridPipeline:
 
 
 @pytest.mark.parametrize(
+    "text, argv, what",
+    [
+        ("key,x0,y0\n1048577,0,0\n", ["decode", "--colors", "1", "--codebook"], "multiset"),
+        ("# k=1048577\n1\n", ["codebook", "--m", "1", "--n", "1", "--grid"], "count vector"),
+    ],
+)
+def test_codebook_beyond_the_length_limit_exit_1(text, argv, what, tmp_path, capsys):
+    # these ended in a MemoryError traceback at 2000000000 and 1000000000
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: each {what} in the codebook file has 1048577 symbols, "
+        "more than the limit of 1048576\n"
+    )
+
+
+@pytest.mark.parametrize(
     "text", ["key,x0,y0\n0-0,4,4\n", "# m=-1 n=-1 k=2\n1-0,0,0\n"]
 )
 def test_decode_refuses_codebook_with_blocks_below_one_side(text, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations_with_replacement
 
@@ -146,6 +147,34 @@ class TestBuildM3:
         pair = RecursionPair((1, 1, 2), (1, 1, 3, 2), 3)
         assert pair.sequence.colors == (1, 1, 2, 1, 1, 3, 2)
 
+    def test_words_up_to_90_colors_pinned(self):
+        # one comma-joined line per k; recorded while build_m3_pair still recursed
+        digest = hashlib.sha256()
+        for k in range(3, 91, 3):
+            digest.update(",".join(map(str, build_m3(k).colors)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "69516d4f8cbae4b601e0c94af4f312d06de1e3f76b7ac30b7f87cc57ea5a7b1c"
+        )
+
+    def test_pair_grows_in_one_call(self, monkeypatch):
+        calls = []
+        real = construct.build_m3_pair
+
+        def counting(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(construct, "build_m3_pair", counting)
+        build_m3(30)
+        assert calls == [30]
+
+    def test_every_step_checks_its_pair(self, monkeypatch):
+        real = construct._z_word
+        # a step-12 tail that no longer closes with 12,11
+        monkeypatch.setattr(construct, "_z_word", lambda k: real(k)[: -1 if k == 12 else None])
+        with pytest.raises(SelfCheckError, match="recursion tail must close with 12,11"):
+            build_m3_pair(15)
+
 
 class TestPadWithNewColors:
     def test_pad_pairs_word(self):
@@ -215,6 +244,25 @@ class TestBaseDispatch:
             build(3, 3006)
         assert str(info.value) == (
             "the window-3 word on 3006 colors has 4531572054 symbols, "
+            "more than the limit of 1048576"
+        )
+
+    @pytest.mark.parametrize(
+        "generator, m, k",
+        [(build_m1, 1, 2**21), (build_m2, 2, 10**6), (build_m3, 3, 3006), (build_m3_pair, 3, 3006)],
+    )
+    def test_generators_refuse_words_beyond_the_limit(self, generator, m, k, monkeypatch):
+        # called directly, not through build: nothing is built before the refusal
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a word was started")
+
+        monkeypatch.setattr(construct, "ColorSequence", unreachable)
+        monkeypatch.setattr(construct.Multigraph, "complete", unreachable)
+        monkeypatch.setattr(construct, "_y_word", unreachable)
+        with pytest.raises(UnsupportedParameterError) as info:
+            generator(k)
+        assert str(info.value) == (
+            f"the window-{m} word on {k} colors has {cyclic_length(m, k)} symbols, "
             "more than the limit of 1048576"
         )
 

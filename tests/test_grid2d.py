@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_sequence
 
+from mcgc import construct
 from mcgc.bounds import multichoose
 from mcgc.construct import build_m1, build_m2
 from mcgc.errors import (
@@ -340,6 +341,18 @@ class TestGridFiles:
         # with both rows kept, decode would answer with one of two positions
         with pytest.raises(InputError, match="appears on two rows"):
             parse_codebook("key,x0,y0\n1-0,0,0\n1-0,1,1\n")
+
+    def test_codebook_files_within_the_length_limit(self, monkeypatch):
+        monkeypatch.setattr(construct, "MAX_LENGTH", 4)
+        assert parse_codebook("key,x0,y0\n4,0,0\n").block_m == 4
+        with pytest.raises(InputError, match="codebook file has 5 symbols"):
+            parse_codebook("key,x0,y0\n5,0,0\n")
+        # the checks before it keep their order
+        with pytest.raises(InputError, match="codebook header"):
+            parse_codebook("# m=2 n=1\nkey,x0,y0\n5,0,0\n")
+        assert format_codebook(build_codebook(ColorGrid2D(((1,),), 4), 1, 1))
+        with pytest.raises(InputError, match="codebook file has 5 symbols"):
+            format_codebook(build_codebook(ColorGrid2D(((1,),), 5), 1, 1))
 
     def test_codebook_without_header_takes_rows(self):
         cb = parse_codebook("key,x0,y0\n2-0,0,0\n1-1,0,1\n")
