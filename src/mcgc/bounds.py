@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .construct import cyclic_length, palettes
 from .errors import InputError, UnsupportedParameterError
@@ -117,8 +117,7 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
 
 
 def bound_record(m: int, k: int) -> BoundRecord:
-    if m < 1 or k < 1:
-        raise InputError("need m >= 1 and k >= 1")
+    upper_linear = upper_bound(m, k, cyclic=False)  # refuses m or k below 1
     candidates = _lower_candidates(m, k)
     if not candidates:
         raise UnsupportedParameterError(
@@ -126,7 +125,6 @@ def bound_record(m: int, k: int) -> BoundRecord:
             "known results there are asymptotic only"
         )
     value, provenance, existence = max(candidates, key=lambda c: (c[0], c[1]))
-    upper_linear = upper_bound(m, k, cyclic=False)
     if value > upper_linear:
         raise AssertionError(
             f"lower bound {value} exceeds ceiling {upper_linear} for m={m}, k={k}"
@@ -149,8 +147,13 @@ def lower_bound(m: int, k: int) -> int:
     return bound_record(m, k).lower
 
 
-def min_colors_1d(M: int, m: int, k_limit: int = 10_000_000) -> int:
-    """Smallest palette whose best known length bound reaches M.
+# The largest palette min_colors_1d tries before giving up.
+_K_LIMIT = 10_000_000
+
+
+def min_colors_1d(M: int, m: int) -> int:
+    """Smallest palette, up to _K_LIMIT, whose best known length bound
+    reaches M.
 
     Palettes below a family's stated threshold are skipped rather than
     guessed at, so the answer is the smallest supported k.  The scan starts
@@ -158,7 +161,7 @@ def min_colors_1d(M: int, m: int, k_limit: int = 10_000_000) -> int:
     """
     if m < 1 or M < m:
         raise InputError("need M >= m >= 1")
-    ks = range(1, k_limit + 1)
+    ks = range(1, _K_LIMIT + 1)
     start = bisect_left(ks, M, key=lambda k: upper_bound(m, k, cyclic=False))
     for k in ks[start:]:
         try:
@@ -167,7 +170,7 @@ def min_colors_1d(M: int, m: int, k_limit: int = 10_000_000) -> int:
         except UnsupportedParameterError:
             continue
     raise UnsupportedParameterError(
-        f"no palette up to {k_limit} reaches length {M} for window {m}"
+        f"no palette up to {_K_LIMIT} reaches length {M} for window {m}"
     )
 
 
@@ -191,7 +194,7 @@ class GainRecord:
     k_M: int
     k_N: int
     gain: float
-    provenance: str = "product-code-bound"
+    provenance: ClassVar[str] = "product-code-bound"
 
 
 def gain_record(M: int, N: int, m: int, n: int) -> GainRecord:

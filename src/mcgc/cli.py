@@ -201,10 +201,7 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
 def cmd_gain(args) -> tuple[str, int]:
     records = gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
     if args.format == "json":
-        payload = [asdict(r) | {"gain": gain_3dp(r.gain)} for r in records]
-        for row in payload:
-            del row["provenance"]  # the published tables have no such column
-        return _json_table(payload), 0
+        return _json_table([asdict(r) | {"gain": gain_3dp(r.gain)} for r in records]), 0
     return render_gain_csv(records), 0
 
 
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: list[str] | None = None) -> int:
+def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -370,6 +367,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return code
     except (McgcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -119,12 +119,9 @@ def cyclic_length(m: int, k: int) -> int:
 
 
 def build(m: int, k: int) -> ColorSequence:
-    """The cyclic m-distinguishable word on [k]; a word longer than
-    MAX_LENGTH raises UnsupportedParameterError before it is built."""
-    _, _, length, name = _base(m)
-    if k in palettes(m, k):
-        _require_length(length(k), f"the window-{m} word on {k} colors")
-    return globals()[name](k)
+    """The cyclic m-distinguishable word on [k]; its generator refuses a
+    word longer than MAX_LENGTH before building it."""
+    return globals()[_base(m)[3]](k)
 
 
 def _self_check(seq: ColorSequence, m: int) -> None:

@@ -18,7 +18,6 @@ from .errors import (
     InputError,
     PaletteError,
     PlanError,
-    SelfCheckError,
 )
 from .sequences import ColorSequence, _require_distinguishable
 
@@ -118,9 +117,8 @@ def cross(s: ColorSequence, t: ColorSequence, plan: CrossProductPlan) -> ColorSe
     for i, j in plan.index_pairs():
         out.extend(alphas[i])
         out.extend(betas[j])
+    # the plan fixed every word's length, so the output has plan.output_length
     result = ColorSequence(tuple(out), t.palette_size, "cyclic")
-    if len(result) != plan.output_length:
-        raise SelfCheckError("interleaved length disagrees with the plan")
     m = plan.m1 + plan.m2
     _require_distinguishable(result, m, f"interleaving failed {m}-distinguishability")
     return result

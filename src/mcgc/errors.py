@@ -42,10 +42,8 @@ class ComposeError(McgcError):
 class CollisionError(McgcError):
     """Two blocks of a grid map to the same color multiset."""
 
-    def __init__(self, first, second, message=None):
-        super().__init__(
-            message or f"blocks at {first} and {second} share a color multiset"
-        )
+    def __init__(self, first, second):
+        super().__init__(f"blocks at {first} and {second} share a color multiset")
         self.first = first
         self.second = second
 

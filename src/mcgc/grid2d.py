@@ -20,7 +20,6 @@ from itertools import count, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .bounds import multichoose
 from .construct import _require_length
 from .errors import (
     CardinalityError,
@@ -246,8 +245,6 @@ def build_codebook(g: ColorGrid2D, m: int, n: int) -> Codebook:
     earlier block already has.
     """
     table = _first_repeat(_block_keys(g, m, n), block_starts(g, m, n))
-    if len(table) > multichoose(g.palette_size, m * n):
-        raise AssertionError("more codewords than multisets exist; impossible")
     return _keyed_codebook(m, n, g.palette_size, g.mode, table)
 
 
@@ -270,7 +267,7 @@ class _ProductEntries(Mapping):
     window B, so its multiset projects onto A repeated n times and B
     repeated m times.  The projections find the one candidate block; the
     candidate's own colors must then equal the key, since the projections
-    alone do not fix the pairs.
+    alone fix neither the pairs nor the key's length.
     """
 
     def __init__(self, rows: dict, cols: dict, k2: int, m: int, n: int):
@@ -279,8 +276,6 @@ class _ProductEntries(Mapping):
 
     def get(self, key, default=None):
         m, n, k2 = self._m, self._n, self._k2
-        if len(key) != m * n:
-            return default
         # flat color c pairs row color (c-1) // k2 + 1 with column color (c-1) % k2 + 1
         row = tuple([(c - 1) // k2 + 1 for c in key[::n]])
         col = tuple(sorted([(c - 1) % k2 + 1 for c in key])[::m])
@@ -429,11 +424,10 @@ def parse_codebook(text: str) -> Codebook:
         rows[key] = start
     if not rows:
         raise InputError("no codebook rows found")
-    palettes = {k for k, _ in rows}
-    cards = {sum(count for _, count in counts) for _, counts in rows}
-    if len(palettes) != 1 or len(cards) != 1:
+    shapes = {(k, sum(count for _, count in counts)) for k, counts in rows}
+    if len(shapes) != 1:
         raise InputError("codebook rows disagree on palette or block size")
-    k, card = palettes.pop(), cards.pop()
+    ((k, card),) = shapes
     if "m" in header and "n" in header:
         m, n = header["m"], header["n"]
     else:

@@ -16,6 +16,7 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from .bounds import gain_record
 from .crossing import compose_for_m
@@ -127,10 +128,14 @@ def parse_config(text: str) -> SimConfig:
     return _make_config(values, values.get("traj", "uniform"))
 
 
-def axis_sequence(side: int, m: int, max_colors: int = 64) -> ColorSequence:
+# The palette budget of an axis; a longer axis raises ComposeError naming it.
+_AXIS_COLORS = 64
+
+
+def axis_sequence(side: int, m: int) -> ColorSequence:
     """Linear m-distinguishable word of length side on the fewest colors
     compose_for_m reaches (its cyclic word, cut open, then prefixed; prefixes
-    of distinguishable words stay distinguishable).  Beyond max_colors it
+    of distinguishable words stay distinguishable).  Beyond _AXIS_COLORS it
     raises ComposeError."""
     if m < 1:
         raise InputError("window must be at least 1")
@@ -139,7 +144,7 @@ def axis_sequence(side: int, m: int, max_colors: int = 64) -> ColorSequence:
     if m == 1:
         return ColorSequence(tuple(range(1, side + 1)), side, "linear")
     # the cut adds m-1 symbols
-    base = compose_for_m(m, max_colors=max_colors, min_length=side - m + 1).sequence
+    base = compose_for_m(m, max_colors=_AXIS_COLORS, min_length=side - m + 1).sequence
     cut = t_cut(base, len(base) - 1, m)
     return ColorSequence(cut.colors[:side], base.palette_size, "linear")
 
@@ -212,6 +217,8 @@ class SimReport:
     colors needed; color_feasible_deployed judges the palette this run
     actually deployed.  gain_bound uses the bound-derived minimal colors per
     axis; gain_wire is the ratio of whole bits actually sent per channel.
+    accuracy is always 1.0 and decode_matches always the slot count: a slot
+    that decodes to a wrong cell raises TrackingError instead.
     """
 
     config: SimConfig
@@ -233,8 +240,8 @@ class SimReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def _next_cell(
@@ -288,8 +295,8 @@ def summarize(config: SimConfig, placement: Deployment) -> SimReport:
     )
 
 
-# Cells whose tuples iter_slots keeps for reuse; past this many it starts
-# over, so a stream over a large field stays flat in memory.
+# Cells whose tuples iter_slots keeps for reuse; past this many it drops the
+# least recently used, so a stream over a large field stays flat in memory.
 _VISITED_CELLS = 2**14
 
 
@@ -299,25 +306,21 @@ def iter_slots(config: SimConfig, placement: Deployment) -> Iterator[SlotRecord]
     codebook leave no slack), else TrackingError.
 
     The records of one cell share one cell tuple and one sensors tuple,
-    kept in a cache of at most _VISITED_CELLS cells that empties when
-    full."""
+    kept for the _VISITED_CELLS most recently visited cells."""
     rng = random.Random(config.seed)
     m = config.block
     color_bits = _bits(placement.colors)
     cells, codebook = placement.grid.cells, placement.codebook
     offsets = [(i, j) for i in range(m) for j in range(m)]
-    visited: dict[tuple[int, int], tuple] = {}
+
+    @lru_cache(maxsize=_VISITED_CELLS)
+    def block(cell: tuple[int, int]) -> tuple:
+        x0, y0 = cell
+        return cell, tuple([(x0 + i, y0 + j) for i, j in offsets])
+
     cell: tuple[int, int] | None = None
     for slot in range(config.slots):
-        cell = _next_cell(rng, config, cell)
-        known = visited.get(cell)
-        if known is None:
-            if len(visited) == _VISITED_CELLS:
-                visited.clear()
-            x0, y0 = cell
-            sensors = tuple([(x0 + i, y0 + j) for i, j in offsets])
-            known = visited[cell] = (cell, sensors)
-        cell, sensors = known
+        cell, sensors = block(_next_cell(rng, config, cell))
         colors = [cells[x][y] for x, y in sensors]
         rng.shuffle(colors)  # the observer cannot order the arrivals
         decoded = decode_colors(codebook, colors)

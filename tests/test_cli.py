@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
-from mcgc import sim
+from mcgc import cli, sim
 from mcgc.cli import dispatch
 
 
@@ -438,6 +439,79 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "construct", "--m", "2", "--k", "4", "-o", target)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+
+# Inputs of the error-path cases, by file name.
+ERROR_FILES = {
+    "empty.txt": "# k=3 mode=cyclic\n",
+    "word3.txt": "# k=3 mode=cyclic\n1 2 3\n",
+    "grid.csv": "x,3\n",
+    "row.csv": "1-1,0\n",
+    "shapes.csv": "key,x0,y0\n1-0,0,0\n0-2,1,0\n",
+    "sim.cfg": "cells 3\n",
+}
+SIMULATE = "simulate --cells 6 --m 2 --slots 5 --bits 8 --seed 0 --traj"
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("command, want", [
+        ("verify --m 2 missing.txt", "error: cannot read missing.txt: "),
+        ("verify --m 2 empty.txt", "error: no sequence found in empty.txt\n"),
+        ("bounds --m 2 --k-range 5..x", "error: bad range '5..x'\n"),
+        ("bounds --m 2 --k-range 9..5", "error: empty range '9..5'\n"),
+        ("kmin --m 2 --sizes 1,x", "error: bad integer list '1,x'\n"),
+        ("cut --t 9 --m 2 word3.txt", "error: cut position 9 out of range 0..2\n"),
+        ("gain --sizes 10 --blocks ,", "error: no block shapes given\n"),
+        ("codebook --grid grid.csv --m 1 --n 1", "error: bad grid row 'x,3'\n"),
+        ("decode --codebook row.csv --colors 1", "error: bad codebook row '1-1,0'\n"),
+        (
+            "decode --codebook shapes.csv --colors 1",
+            "error: codebook rows disagree on palette or block size\n",
+        ),
+        ("simulate --config sim.cfg", "error: bad config line 'cells 3'\n"),
+        (f"{SIMULATE} walk:1.5", "error: p_move must lie in [0, 1]\n"),
+        (f"{SIMULATE} foo", "error: unknown trajectory 'foo'\n"),
+    ])
+    def test_exact_error_line(self, command, want, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in ERROR_FILES.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, out) == (1, "")
+        if want.endswith("\n"):
+            assert err == want
+        else:  # the rest is the operating system's wording
+            assert err.startswith(want) and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line_and_exit_1(self, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "deploy", exhausted)
+        code, out, err = run_cli(capsys, *f"{SIMULATE} uniform".split())
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    def test_sequence_from_stdin(self, tmp_path, capsys, monkeypatch):
+        path = write_probe(tmp_path)
+        from_file = run_cli(capsys, "cut", "--t", "14", "--m", "2", path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(path).read_text()))
+        assert run_cli(capsys, "cut", "--t", "14", "--m", "2", "-") == from_file
+        assert from_file[0] == 0
+
+    def test_verify_linear_overrides_the_header(self, tmp_path, capsys):
+        # the probe collides only across the wrap-around
+        path = write_probe(tmp_path)
+        code, out, _ = run_cli(capsys, "verify", "--m", "3", "--linear", path)
+        assert (code, out) == (0, "ok, 13 windows distinct\n")
+        code, out, _ = run_cli(capsys, "verify", "--m", "3", path)
+        assert (code, out) == (1, "collision: windows 13 and 14 carry the same multiset\n")
+
+    def test_bounds_csv_of_a_comma_list(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--m", "3", "--k-range", "6,4,9,7")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c771c6e3867915248830d71417d950752c73cf6ecc5b3aad6ef2bea0981b9a4d"
+        )
 
 
 class TestDeterminism:

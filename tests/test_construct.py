@@ -235,11 +235,14 @@ class TestBaseDispatch:
         assert str(info.value) == "output failed 2-distinguishability at windows (0, 1)"
 
     def test_word_beyond_the_length_limit_refused_before_building(self, monkeypatch):
-        # build_m3 recurses once per three colors: a RecursionError at k=3006
-        def unreachable(k):
-            raise AssertionError(f"build_m3({k}) called")
+        # build leaves the limit to its generator, which must refuse before
+        # it allocates a word, a graph or a recursion step
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a word was started")
 
-        monkeypatch.setattr(construct, "build_m3", unreachable)
+        monkeypatch.setattr(construct, "ColorSequence", unreachable)
+        monkeypatch.setattr(construct.Multigraph, "complete", unreachable)
+        monkeypatch.setattr(construct, "_y_word", unreachable)
         with pytest.raises(UnsupportedParameterError) as info:
             build(3, 3006)
         assert str(info.value) == (
@@ -264,6 +267,20 @@ class TestBaseDispatch:
         assert str(info.value) == (
             f"the window-{m} word on {k} colors has {cyclic_length(m, k)} symbols, "
             "more than the limit of 1048576"
+        )
+
+    def test_build_outcomes_pinned(self):
+        # every k above 7 is over the limit or no palette for windows 2 and 3
+        digest = hashlib.sha256()
+        for m in range(5):
+            for k in (-5, 0, 1, 2, 3, 4, 5, 6, 7, 1449, 1450, 3006, 3007, 2**21):
+                try:
+                    out = repr(build(m, k).colors)
+                except Exception as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{m},{k}:{out}\n".encode())
+        assert digest.hexdigest() == (
+            "69a3321e2d716d8acc6a400eed5ec96bc416287136979d7ec863f8a88a68a0d4"
         )
 
     def test_length_limit_is_inclusive_and_only_for_buildable_palettes(self, monkeypatch):

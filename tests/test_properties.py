@@ -1,10 +1,10 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
-the axis-backed product codebook against the grid's codebook, decoding from
-reported colors against decoding a multiset, the count-vector keys a
-codebook takes and finds against an independent oracle, compose_for_m's pick
-against the exhaustive palette oracle, format-then-parse round trips of
-the sequence, grid and codebook files, and a slot record's JSON against
-json.dumps."""
+the axis-backed product codebook against the grid's codebook (also on keys
+of other lengths than a block's), decoding from reported colors against
+decoding a multiset, the count-vector keys a codebook takes and finds
+against an independent oracle, compose_for_m's pick against the exhaustive
+palette oracle, format-then-parse round trips of the sequence, grid and
+codebook files, and a slot record's JSON against json.dumps."""
 
 import json
 from dataclasses import fields
@@ -221,6 +221,27 @@ def test_count_vector_lookup_matches_oracle(s1, s2, m, n, data):
         want = _count_vector_ok(v, k, m * n) and v in blocks
         for cb in books:
             assert (v in cb.entries) == want
+
+
+@PROPERTY
+@given(axes(), axes(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_product_lookup_matches_grid_lookup_at_nearby_key_lengths(s1, s2, m, n, data):
+    books = [
+        _outcome(build_codebook, product_grid(s1, s2), m, n),
+        _outcome(product_codebook, s1, s2, m, n),
+    ]
+    if not all(isinstance(cb, Codebook) for cb in books):
+        return
+    want, got = (cb.entries.table for cb in books)
+    size, color = m * n, st.integers(1, books[0].palette_size)
+    lengths = st.integers(max(0, size - 2), size + 2)
+    fresh = lengths.flatmap(lambda length: st.lists(color, min_size=length, max_size=length))
+    # a real key cut short, or padded with two more colors, to length
+    resized = st.tuples(st.sampled_from(sorted(want)), st.lists(color, min_size=2, max_size=2),
+                        lengths).map(lambda t: (t[0] + tuple(t[1]))[: t[2]])
+    for key in data.draw(st.lists(st.one_of(fresh, resized), min_size=1, max_size=30)):
+        key = tuple(sorted(key))
+        assert got.get(key) == want.get(key)
 
 
 def test_product_codebook_checks_the_pairs_not_only_the_projections():

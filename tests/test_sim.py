@@ -183,7 +183,7 @@ class TestRun:
         monkeypatch.setattr(sim, "_VISITED_CELLS", 2)
         records = run(config)[1]
         assert records == want
-        # 49 cells, yet the emptied cache made more sensor tuples than that
+        # 49 cells, yet a cache of two made more sensor tuples than that
         assert len({id(r.sensors) for r in records}) > 49
 
     def test_different_seeds_differ(self):
