@@ -26,7 +26,7 @@ from .bounds import (
     render_kmin_csv,
 )
 from .construct import build
-from .crossing import compose_for_m, cross, plan_cross, shift_palette
+from .crossing import _MAX_COLORS, compose_for_m, cross, plan_cross, shift_palette
 from .errors import InputError, McgcError
 from .grid2d import (
     build_codebook,
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="build a sequence for any window size")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-colors", type=int, default=48)
+    p.add_argument("--max-colors", type=int, default=_MAX_COLORS)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("bounds", help="length bound table (CSV)")

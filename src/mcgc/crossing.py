@@ -31,6 +31,8 @@ __all__ = [
     "compose_for_m",
 ]
 
+_MAX_COLORS = 48  # the default palette budget of compose_for_m and mcgc compose
+
 
 @dataclass(frozen=True)
 class CrossProductPlan:
@@ -180,7 +182,7 @@ def _walk(parts: list[int], menus: list[range], budget: int) -> dict:
     return states
 
 
-def compose_for_m(m: int, max_colors: int = 48, min_length: int = 1) -> ComposeResult:
+def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) -> ComposeResult:
     """Build a cyclic m-distinguishable sequence on the fewest colors the
     window-2 and window-3 constructions reach: one base word for m = 2 or 3,
     otherwise a left fold of interleavings of such words.

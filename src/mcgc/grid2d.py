@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, product, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -33,6 +33,7 @@ from .sequences import (
     Multiset,
     _require_palette,
     _sorted_colors,
+    _starts,
     data_lines,
     keyed_report,
     window_keys,
@@ -131,21 +132,17 @@ def block_starts(g: ColorGrid2D, m: int, n: int) -> list[tuple[int, int]]:
     block still fits.
     """
     _require_block(m, n, g.M, g.N)
-    if g.mode == "cyclic":
-        return [(x, y) for x in range(g.M) for y in range(g.N)]
-    return [(x, y) for x in range(g.M - m + 1) for y in range(g.N - n + 1)]
+    cyclic = g.mode == "cyclic"
+    return list(product(_starts(g.M, m, cyclic), _starts(g.N, n, cyclic)))
 
 
 def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset:
     """Multiset of the m*n colors in the block tagged at (x0, y0)."""
     _require_block(m, n, g.M, g.N)
-    if g.mode == "cyclic":
-        if not (0 <= x0 < g.M and 0 <= y0 < g.N):
-            raise InputError(f"tag point ({x0}, {y0}) outside the grid")
-    elif not (0 <= x0 <= g.M - m and 0 <= y0 <= g.N - n):
-        raise InputError(
-            f"tag point ({x0}, {y0}) outside the {m}x{n} coding area"
-        )
+    cyclic = g.mode == "cyclic"
+    if not (x0 in _starts(g.M, m, cyclic) and y0 in _starts(g.N, n, cyclic)):
+        area = "the grid" if cyclic else f"the {m}x{n} coding area"
+        raise InputError(f"tag point ({x0}, {y0}) outside {area}")
     rows = [g.cells[(x0 + i) % g.M] for i in range(m)]
     return Multiset.of(
         (row[(y0 + j) % g.N] for row in rows for j in range(n)), g.palette_size
@@ -160,7 +157,7 @@ def _block_keys(g: ColorGrid2D, m: int, n: int) -> Iterator[tuple[int, ...]]:
     """
     cyclic = g.mode == "cyclic"
     rows = g.cells + g.cells[: m - 1] if cyclic else g.cells
-    for x0 in range(len(rows) - m + 1):
+    for x0 in _starts(g.M, m, cyclic):
         band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
         yield from window_keys(band, m * n, cyclic, step=m)
 
@@ -274,6 +271,10 @@ class _ProductEntries(Mapping):
         self._rows, self._cols = rows, cols
         self._k2, self._m, self._n = k2, m, n
 
+    def _block(self, row: tuple, col: tuple) -> tuple[int, ...]:
+        """Sorted colors of the block with row window row and column window col."""
+        return tuple(sorted([(a - 1) * self._k2 + b for a in row for b in col]))
+
     def get(self, key, default=None):
         m, n, k2 = self._m, self._n, self._k2
         # flat color c pairs row color (c-1) // k2 + 1 with column color (c-1) % k2 + 1
@@ -281,9 +282,7 @@ class _ProductEntries(Mapping):
         col = tuple(sorted([(c - 1) % k2 + 1 for c in key])[::m])
         row_tag = self._rows.get(row)  # (x0, 0)
         col_tag = self._cols.get(col)  # (0, y0)
-        if row_tag is None or col_tag is None:
-            return default
-        if tuple(sorted([(a - 1) * k2 + b for a in row for b in col])) != key:
+        if row_tag is None or col_tag is None or self._block(row, col) != key:
             return default
         return row_tag[0], col_tag[1]
 
@@ -294,10 +293,7 @@ class _ProductEntries(Mapping):
         return pos
 
     def __iter__(self):
-        k2 = self._k2
-        for row in self._rows:
-            for col in self._cols:
-                yield tuple(sorted([(a - 1) * k2 + b for a in row for b in col]))
+        return (self._block(row, col) for row in self._rows for col in self._cols)
 
     def __len__(self) -> int:
         return len(self._rows) * len(self._cols)

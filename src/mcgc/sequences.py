@@ -10,8 +10,8 @@ The checks and the codebooks key each window or block by the sorted tuple of
 its colors (``window_keys``), which costs O(m) per window whatever the palette
 size.  The count vector of ``Multiset`` is the file form only: the '-'-joined
 keys of the codebook file and of error messages.
-This module also owns the '# key=value' header that the sequence, grid and
-codebook files share (``data_lines``).
+It also owns the coding area's tag points (``_starts``) and the '# key=value'
+header that the sequence, grid and codebook files share (``data_lines``).
 """
 
 from __future__ import annotations
@@ -189,12 +189,15 @@ def _require_window(seq: ColorSequence, m: int) -> None:
         raise InputError(f"window size {m} exceeds sequence length {len(seq)}")
 
 
+def _starts(n: int, m: int, cyclic: bool) -> range:
+    """Tag points on an axis of n cells: all when cyclic, else the n - m + 1 where m fit."""
+    return range(n) if cyclic else range(n - m + 1)
+
+
 def window_starts(seq: ColorSequence, m: int) -> range:
     """Valid window tag positions for the sequence's mode."""
     _require_window(seq, m)
-    if seq.mode == "linear":
-        return range(len(seq) - m + 1)
-    return range(len(seq))
+    return _starts(len(seq), m, seq.mode == "cyclic")
 
 
 def window_keys(
@@ -205,13 +208,10 @@ def window_keys(
     Cyclic windows start anywhere and wrap, more than once when the word is
     shorter than m.  Equal keys mean equal multisets.
     """
-    n = len(colors)
+    starts = _starts(len(colors), m, cyclic)[::step]
     if cyclic:
-        colors = colors + (colors * ((m - 1) // n + 1))[: m - 1]
-        stop = n
-    else:
-        stop = n - m + 1
-    return [tuple(sorted(colors[t : t + m])) for t in range(0, stop, step)]
+        colors = colors + (colors * ((m - 1) // len(colors) + 1))[: m - 1]
+    return [tuple(sorted(colors[t : t + m])) for t in starts]
 
 
 def keyed_report(keys: list, tags: Sequence) -> DistinguishabilityReport:

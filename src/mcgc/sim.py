@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+def _require_trajectory(name: str) -> str:
+    if name not in ("uniform", "walk"):
+        raise InputError(f"unknown trajectory {name!r}")
+    return name
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Tracking run parameters.
@@ -69,8 +75,7 @@ class SimConfig:
             raise InputError("need at least one slot")
         if self.bits_per_slot < 1:
             raise InputError("need at least one bit per slot")
-        if self.trajectory not in ("uniform", "walk"):
-            raise InputError(f"unknown trajectory {self.trajectory!r}")
+        _require_trajectory(self.trajectory)
         if not 0.0 <= self.p_move <= 1.0:
             raise InputError("p_move must lie in [0, 1]")
 
@@ -80,14 +85,12 @@ class SimConfig:
 
 def parse_trajectory(text: str) -> tuple[str, float]:
     """'uniform', 'walk', or 'walk:P' with move probability P."""
-    if text in ("uniform", "walk"):
-        return text, 0.5
     if text.startswith("walk:"):
         try:
             return "walk", float(text[5:])
         except ValueError as exc:
             raise InputError(f"bad walk probability in {text!r}") from exc
-    raise InputError(f"unknown trajectory {text!r}")
+    return _require_trajectory(text), 0.5
 
 
 # The five values a run needs, by config key; each is also a simulate flag.
@@ -173,11 +176,6 @@ def deploy(config: SimConfig) -> Deployment:
     axis = axis_sequence(side, config.block)
     grid = product_grid(axis, axis)
     codebook = product_codebook(axis, axis, config.block, config.block)
-    expected = config.cells_per_side**2
-    if codebook.size != expected:
-        raise TrackingError(
-            f"codebook has {codebook.size} entries; geometry promises {expected}"
-        )
     return Deployment(grid, codebook, axis, side)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
-from mcgc import cli, sim
+from mcgc import cli, crossing, sim
 from mcgc.cli import dispatch
 
 
@@ -142,6 +143,11 @@ class TestCrossCompose:
         code, out, _ = run_cli(capsys, "compose", "--m", "5")
         assert code == 0
         assert "# compose split=3+2" in out
+
+    def test_compose_budget_default_is_the_library_default(self):
+        args = cli.build_parser().parse_args(["compose", "--m", "5"])
+        signature = inspect.signature(crossing.compose_for_m)
+        assert args.max_colors == signature.parameters["max_colors"].default == 48
 
     def test_compose_ten_factors_large_budget_returns(self):
         # the color budget starts at the least total the factors need (30)
@@ -471,6 +477,11 @@ class TestErrorPaths:
         ("simulate --config sim.cfg", "error: bad config line 'cells 3'\n"),
         (f"{SIMULATE} walk:1.5", "error: p_move must lie in [0, 1]\n"),
         (f"{SIMULATE} foo", "error: unknown trajectory 'foo'\n"),
+        # the trajectory is read before the config's other checks
+        (
+            "simulate --cells 1 --m 2 --slots 5 --bits 8 --seed 0 --traj foo",
+            "error: unknown trajectory 'foo'\n",
+        ),
     ])
     def test_exact_error_line(self, command, want, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

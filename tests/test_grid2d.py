@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -294,6 +296,45 @@ class TestCodebook:
         if missing.counts not in cb.entries:
             with pytest.raises(UnknownBlockError):
                 decode(cb, missing)
+
+
+def outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCodingAreaPinned:
+    def test_tags_blocks_and_codebooks_pinned(self):
+        # recorded before the start rule had one owner: seeded grids of
+        # M, N 1..6 over 1 + M*N // 2 colors, blocks m, n 1..3, both modes,
+        # with block_multiset at every tag point and one past each edge
+        digest = hashlib.sha256()
+        for M in range(1, 7):
+            for N in range(1, 7):
+                rng = random.Random(10 * M + N)
+                k = 1 + M * N // 2
+                cells = tuple(tuple(rng.choices(range(1, k + 1), k=N)) for _ in range(M))
+                for mode in ("plain", "cyclic"):
+                    g = ColorGrid2D(cells, k, mode)
+                    for m in range(1, 4):
+                        for n in range(1, 4):
+                            lines = [
+                                outcome(block_starts, g, m, n),
+                                outcome(check_grid_distinguishable, g, m, n),
+                                outcome(lambda: format_codebook(build_codebook(g, m, n))),
+                            ]
+                            lines.extend(
+                                outcome(block_multiset, g, x0, y0, m, n)
+                                for x0 in range(-1, M + 1)
+                                for y0 in range(-1, N + 1)
+                            )
+                            for line in lines:
+                                digest.update(f"{M},{N},{mode},{m},{n}:{line}\n".encode())
+        assert digest.hexdigest() == (
+            "ebcfd5a3cd6c4ddfb376c8d98f9e863c4497ecc657c5a957f0af8ae18c642e36"
+        )
 
 
 class TestGridFiles:

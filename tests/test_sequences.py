@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from conftest import naive_distinguishable, random_sequence
@@ -54,6 +57,21 @@ class TestWindowKeys:
             (1, 2, 5, 6),
             (3, 4, 5, 6),
         ]
+
+    def test_keys_pinned(self):
+        # recorded before the start rule had one owner: every start, wrap and
+        # step of words of 1..9 colors over 3, at windows 1..11
+        digest = hashlib.sha256()
+        for n in range(1, 10):
+            word = tuple(random.Random(n).choices(range(1, 4), k=n))
+            for m in range(1, 12):
+                for step in (1, 2, 3):
+                    for cyclic in (False, True):
+                        keys = window_keys(word, m, cyclic, step)
+                        digest.update(f"{n},{m},{step},{cyclic}:{keys!r}\n".encode())
+        assert digest.hexdigest() == (
+            "efe4c0dfbf24f72f84fd251978f383b0d9b4ca8047278aa5fe1d2362dd5e486d"
+        )
 
 
 class TestColorSequence:

@@ -32,6 +32,15 @@ class TestConfig:
         with pytest.raises(InputError):
             SimConfig(6, 2, 10, 8, 0, trajectory="drift")
 
+    @pytest.mark.parametrize("cells, want", [
+        (6, "unknown trajectory 'foo'"),
+        (1, "need cells_per_side >= block >= 1"),  # the block check comes first
+    ])
+    def test_trajectory_error_text_and_order(self, cells, want):
+        with pytest.raises(InputError) as info:
+            SimConfig(cells, 2, 10, 8, 0, trajectory="foo")
+        assert str(info.value) == want
+
     def test_trajectory_strings(self):
         assert parse_trajectory("uniform") == ("uniform", 0.5)
         assert parse_trajectory("walk") == ("walk", 0.5)
