@@ -140,7 +140,8 @@ def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset
     """Multiset of the m*n colors in the block tagged at (x0, y0)."""
     _require_block(m, n, g.M, g.N)
     cyclic = g.mode == "cyclic"
-    if not (x0 in _starts(g.M, m, cyclic) and y0 in _starts(g.N, n, cyclic)):
+    inside = x0 in _starts(g.M, m, cyclic) and y0 in _starts(g.N, n, cyclic)
+    if not (inside and isinstance(x0, int) and isinstance(y0, int)):
         area = "the grid" if cyclic else f"the {m}x{n} coding area"
         raise InputError(f"tag point ({x0}, {y0}) outside {area}")
     rows = [g.cells[(x0 + i) % g.M] for i in range(m)]

@@ -1,10 +1,10 @@
 """Exhaustive search for the longest cyclic m-distinguishable sequence.
 
-Symmetry pruning fixes the first symbol to 1 and forces first occurrences
-into ascending color order.  Every sequence is equivalent to such a
-canonical form under rotation and relabeling, so the maximum length is
-unaffected, and the first witness found in ascending-color DFS is the
-lexicographically smallest valid sequence overall.
+One iterative depth-first pass over canonical words (first symbol 1, first
+occurrences in ascending color order; every sequence is one up to rotation
+and relabeling).  It prunes a prefix whose newest window repeats, and keeps a
+word longer than the best when its wrapping windows are new too.  Ascending
+preorder meets each length lexicographically, so the witness is the smallest.
 """
 
 from __future__ import annotations
@@ -44,45 +44,42 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")
     ceiling = upper_bound(m, k, cyclic=True)
-    for n in range(min(length_cap, ceiling), 0, -1):
-        witness = _find_at_length(m, k, n)
-        if witness is not None:
-            return SearchResult(
-                max_length=n,
-                witness=ColorSequence(witness, k, "cyclic"),
-                proven=length_cap >= ceiling,
-                cap=length_cap,
-                ceiling=ceiling,
-            )
-    raise AssertionError("unreachable: length 1 always admits a witness")
-
-
-def _find_at_length(m: int, k: int, n: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest canonical word of exactly length n whose
-    cyclic windows are all distinct, or None."""
-    prefix: list[int] = []
-    seen: set[tuple[int, ...]] = set()  # completed non-wrapping windows
-
-    def extend() -> tuple[int, ...] | None:
-        if len(prefix) == n:
-            distinct = len(set(window_keys(prefix, m, cyclic=True))) == n
-            return tuple(prefix) if distinct else None
-        used = max(prefix, default=0)
-        for color in range(1, min(k, used + 1) + 1):
-            prefix.append(color)
-            key = None
-            if len(prefix) >= m:
-                key = tuple(sorted(prefix[-m:]))  # window_keys' key, inlined: hot loop
-                if key in seen:
-                    prefix.pop()
-                    continue
-                seen.add(key)
-            found = extend()
-            if found is not None:
-                return found
-            if key is not None:
-                seen.remove(key)
-            prefix.pop()
-        return None
-
-    return extend()
+    limit = min(length_cap, ceiling)
+    # per symbol: the key it completes, and the largest color up to it.  Before
+    # m symbols the key is the sorted prefix, which no window key can equal.
+    word: list[int] = []
+    keys: list[tuple[int, ...]] = []
+    tops = [0]
+    seen: set[tuple[int, ...]] = set()
+    best: list[int] = []
+    color = 1
+    while len(best) < limit and (word or color == 1):  # the root tries color 1 only
+        if color > min(k, tops[-1] + 1) or len(word) == limit:
+            color = word.pop() + 1
+            seen.remove(keys.pop())
+            tops.pop()
+            continue
+        word.append(color)
+        key = tuple(sorted(word[-m:]))  # window_keys' key, inlined: hot loop
+        if key in seen:
+            word.pop()
+            color += 1
+            continue
+        seen.add(key)
+        keys.append(key)
+        tops.append(max(tops[-1], color))
+        color = 1
+        n = len(word)
+        if n > len(best):
+            # the seam's windows are the m - 1 that wrap, or all n when n < m
+            seam = word[n + 1 - m :] + word[: m - 1] if n >= m else (word * m)[: n + m - 1]
+            wrapped = window_keys(seam, m, cyclic=False)
+            if len(set(wrapped)) == len(wrapped) and seen.isdisjoint(wrapped):
+                best = word[:]
+    return SearchResult(
+        max_length=len(best),
+        witness=ColorSequence(tuple(best), k, "cyclic"),
+        proven=length_cap >= ceiling,
+        cap=length_cap,
+        ceiling=ceiling,
+    )

@@ -228,7 +228,7 @@ def keyed_report(keys: list, tags: Sequence) -> DistinguishabilityReport:
 
 def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
     """Multiset of the m colors in the window tagged at position t."""
-    if t not in window_starts(seq, m):
+    if t not in window_starts(seq, m) or not isinstance(t, int):  # 1.0 in range(2)
         raise InputError(f"window start {t} out of range for mode {seq.mode}")
     wrapped = seq.colors + seq.colors[: m - 1]  # linear windows end before the tail
     return Multiset.of(wrapped[t : t + m], seq.palette_size)

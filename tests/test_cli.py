@@ -115,6 +115,11 @@ class TestCutSearch:
         assert code == 0
         assert "max=8" in out and "proven" in out
 
+    def test_search_max_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "search-max", "--m", "2", "--k", "45", "--cap", "1035")
+        assert code == 0
+        assert out.splitlines()[1] == "# search m=2 max=1035 proven cap=1035 ceiling=1035"
+
 
 class TestCrossCompose:
     def test_cross_auto_shifts_palette(self, tmp_path, capsys):

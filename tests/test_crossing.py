@@ -91,20 +91,19 @@ class TestCross:
 
     def test_equal_word_count_plan_builds(self):
         # length-18 window-3 operand found by the exhaustive search
-        from mcgc.search import _find_at_length
+        from mcgc.search import brute_force_max_cyclic
 
         s = cyclic(CROSS_S, 5)
-        t = shift_palette(cyclic(_find_at_length(3, 5, 18), 5), 5)
+        t = shift_palette(brute_force_max_cyclic(3, 5, 18).witness, 5)
         out = cross(s, t, plan_cross(12, 2, 18, 3))
         assert len(out) == 30
         assert check_distinguishable(out, 5).ok
 
     def test_symmetric_window_plan_builds(self):
-        from mcgc.search import _find_at_length
+        from mcgc.search import brute_force_max_cyclic
 
-        word = _find_at_length(2, 5, 10)
-        s = cyclic(word, 5)
-        t = shift_palette(cyclic(word, 5), 5)
+        s = brute_force_max_cyclic(2, 5, 10).witness
+        t = shift_palette(s, 5)
         out = cross(s, t, plan_cross(10, 2, 10, 2))
         assert len(out) == 20 and out.palette_size == 10
         assert check_distinguishable(out, 4).ok

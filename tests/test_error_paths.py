@@ -14,7 +14,7 @@ from mcgc.errors import (
 )
 from mcgc.eulerian import Multigraph, eulerian_circuit
 from mcgc.grid2d import ColorGrid2D, block_multiset
-from mcgc.sequences import ColorSequence, Multiset
+from mcgc.sequences import ColorSequence, Multiset, window_multiset
 
 
 def two_edge_graph() -> Multigraph:
@@ -83,6 +83,15 @@ CASES = {
     "block_multiset": (
         lambda: block_multiset(CYCLIC_GRID, 2, 0, 1, 1),
         InputError, "tag point (2, 0) outside the grid",
+    ),
+    # a whole-valued float lies in range(n) but cannot index the cells
+    "block_multiset_float": (
+        lambda: block_multiset(CYCLIC_GRID, 1.0, 0, 1, 1),
+        InputError, "tag point (1.0, 0) outside the grid",
+    ),
+    "window_multiset_float": (
+        lambda: window_multiset(ColorSequence((1, 2, 1), 2, "linear"), 1.0, 2),
+        InputError, "window start 1.0 out of range for mode linear",
     ),
     "Multiset": (
         lambda: Multiset((1, -1)),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mcgc.bounds import upper_bound
@@ -80,3 +82,25 @@ def test_words_shorter_than_the_window_wrap_more_than_once():
     assert result.witness.colors == (1, 2)
     # at m=4 the windows 1212 and 2121 are the same multiset
     assert brute_force_max_cyclic(4, 2, 10).max_length == 1
+
+
+def test_sweep_is_pinned():
+    # every result for m, k in 1..7 with ceiling <= 21 at caps 1..ceiling + 1,
+    # recorded before the search became one pass
+    records = []
+    for m in range(1, 8):
+        for k in range(1, 8):
+            ceiling = upper_bound(m, k, cyclic=True)
+            if ceiling > 21:
+                continue
+            for cap in range(1, ceiling + 2):
+                r = brute_force_max_cyclic(m, k, cap)
+                records.append((m, k, cap, r.max_length, r.witness.colors, r.proven, r.ceiling))
+    assert len(records) == 205
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "75dd50037032882cfeed7d31be0510fe1e678a5c73dff051cb0b9018423cd8a8"
+
+
+def test_deep_words_need_no_recursion():
+    # one symbol per level: deeper than the interpreter's recursion limit
+    assert brute_force_max_cyclic(1, 1200, 1200).max_length == 1200
