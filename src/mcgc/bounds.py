@@ -155,20 +155,17 @@ def min_colors_1d(M: int, m: int) -> int:
     """Smallest palette, up to _K_LIMIT, whose best known length bound
     reaches M.
 
-    Palettes below a family's stated threshold are skipped rather than
-    guessed at, so the answer is the smallest supported k.  The scan starts
-    at the least k whose linear ceiling (increasing in k) reaches M.
+    The scan starts at the least k whose linear ceiling (increasing in k)
+    reaches M and asks the families of _lower_candidates directly, skipping
+    palettes none covers; only the answer is checked through bound_record.
     """
     if m < 1 or M < m:
         raise InputError("need M >= m >= 1")
     ks = range(1, _K_LIMIT + 1)
     start = bisect_left(ks, M, key=lambda k: upper_bound(m, k, cyclic=False))
     for k in ks[start:]:
-        try:
-            if lower_bound(m, k) >= M:
-                return k
-        except UnsupportedParameterError:
-            continue
+        if any(value >= M for value, _, _ in _lower_candidates(m, k)):
+            return bound_record(m, k).k
     raise UnsupportedParameterError(
         f"no palette up to {_K_LIMIT} reaches length {M} for window {m}"
     )

@@ -365,7 +365,7 @@ def dispatch(argv: list[str]) -> int:
         text, code = args.func(args)
         _write(args.output, (text,))
         return code
-    except (McgcError, OSError) as exc:
+    except (McgcError, OSError, ValueError) as exc:  # ValueError: an int too long to print
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

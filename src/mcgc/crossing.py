@@ -127,19 +127,11 @@ def cross(s: ColorSequence, t: ColorSequence, plan: CrossProductPlan) -> ColorSe
 
 
 def split_window(m: int) -> list[int]:
-    """Greedy split of m into summands of 3 and 2 (3 preferred), folded left."""
+    """m as 3s then 2s, the most 3s possible (-m % 3 twos), folded left."""
     if m < 2:
         raise InputError("composition needs a window of at least 2")
-    parts: list[int] = []
-    rest = m
-    while rest > 4:
-        parts.append(3)
-        rest -= 3
-    if rest in (2, 3):
-        parts.append(rest)
-    else:  # rest == 4
-        parts.extend((2, 2))
-    return parts
+    twos = -m % 3
+    return [3] * ((m - 2 * twos) // 3) + [2] * twos
 
 
 @dataclass(frozen=True)

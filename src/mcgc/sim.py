@@ -210,7 +210,7 @@ class SimReport:
     """Run summary: feasibility flags, bit costs, gains, accuracy.
 
     baseline_feasible: the unique-label protocol fits the per-slot budget
-    (log2 of the cell count within bits_per_slot).  color_feasible: a
+    (the whole bits naming a cell within bits_per_slot).  color_feasible: a
     minimal color code fits the budget, judged by the best known bound on
     colors needed; color_feasible_deployed judges the palette this run
     actually deployed.  gain_bound uses the bound-derived minimal colors per
@@ -282,10 +282,9 @@ def summarize(config: SimConfig, placement: Deployment) -> SimReport:
         baseline_bits=baseline_bits,
         color_bits=color_bits,
         min_colors_bound=k_bound,
-        baseline_feasible=math.log2(C * C) <= config.bits_per_slot,
-        color_feasible=math.log2(k_bound) <= config.bits_per_slot,
-        color_feasible_deployed=math.log2(placement.colors)
-        <= config.bits_per_slot,
+        baseline_feasible=baseline_bits <= config.bits_per_slot,
+        color_feasible=_bits(k_bound) <= config.bits_per_slot,
+        color_feasible_deployed=color_bits <= config.bits_per_slot,
         gain_bound=bound.gain,
         gain_wire=(color_bits / baseline_bits) if baseline_bits else 1.0,
         accuracy=1.0,

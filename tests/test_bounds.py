@@ -163,14 +163,32 @@ class TestMinColors:
     @pytest.mark.parametrize("m, k", [(1, 10**7), (2, 4473), (3, 391), (4, 123)])
     def test_scan_starts_at_the_linear_ceiling(self, m, k, monkeypatch):
         calls = []
+        candidates = bounds._lower_candidates
 
         def counting(m, k):
             calls.append(k)
-            return lower_bound(m, k)
+            return candidates(m, k)
 
-        monkeypatch.setattr(bounds, "lower_bound", counting)
+        monkeypatch.setattr(bounds, "_lower_candidates", counting)
         assert min_colors_1d(10**7, m) == k
         assert len(calls) < 50
+
+    def test_no_record_per_palette_tried(self, monkeypatch):
+        calls = {"bound_record": 0, "lower_bound": 0}
+
+        def counted(name):
+            original = getattr(bounds, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bounds, name, counted(name))
+        assert min_colors_1d(3000, 3000) == 3001
+        assert calls == {"bound_record": 1, "lower_bound": 0}
 
 
 class TestCodingGain:
@@ -297,4 +315,21 @@ class TestBoundSweepPin:
         )
         assert _sha256(lines) == (
             "655e24255174f0b76f9feebf867c4116e8a3ddb6b4dcb4f4e15f22e74a0805f7"
+        )
+
+    def test_min_colors_subset_cycle_windows(self):
+        """From m 8 on only the subset-cycle family applies, and many
+        palettes are covered by none: the scan must skip exactly those."""
+
+        def line(m, M):
+            try:
+                return f"{m},{M},{min_colors_1d(M, m)}"
+            except Exception as exc:
+                return f"{m},{M},{type(exc).__name__}: {exc}"
+
+        lines = (
+            line(m, M) for m in range(8, 14) for M in [*range(m, 1501), 10**4, 10**5]
+        )
+        assert _sha256(lines) == (
+            "b5462bfb0f7b45e84b82ded16c5d699c57a0fea4793b35aff780fe94b49fa840"
         )

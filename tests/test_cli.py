@@ -507,6 +507,24 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, *f"{SIMULATE} uniform".split())
         assert (code, out, err) == (1, "", "error: out of memory\n")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize("command", [
+        "search-max --m 20000 --k 1000000 --cap 1",
+        f"bounds --m 6 --k-range {'9' * 801}",
+        f"bounds --m 6 --k-range {'9' * 801} --format json",
+    ], ids=["search-max", "bounds-csv", "bounds-json"])
+    def test_number_too_long_to_print_is_one_line_and_exit_1(self, command, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            code, out, err = run_cli(capsys, *command.split())
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sequence_from_stdin(self, tmp_path, capsys, monkeypatch):
         path = write_probe(tmp_path)
         from_file = run_cli(capsys, "cut", "--t", "14", "--m", "2", path)

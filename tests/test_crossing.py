@@ -151,6 +151,16 @@ class TestCompose:
         assert split_window(6) == [3, 3]
         assert split_window(7) == [3, 2, 2]
 
+    def test_split_pinned(self):
+        # naive_compose in conftest calls split_window itself, so the
+        # compose oracle cannot catch a wrong split: pin m 2..3000 by sha256
+        digest = hashlib.sha256()
+        for m in range(2, 3001):
+            digest.update((",".join(map(str, split_window(m))) + "\n").encode())
+        assert digest.hexdigest() == (
+            "bf19fcb14a4ec097603a8cf6c56729ac8f4f2590bafc9f4cc5c78f075aff4b1a"
+        )
+
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_outputs_validate(self, m):
         result = compose_for_m(m)

@@ -223,6 +223,24 @@ class TestRun:
         assert not report.color_feasible_deployed  # deployed palette is 81
         assert report.colors == 81
 
+    def test_budget_flags_pinned(self):
+        """The three flags and both bit counts over C 1..12 x m 1..3 x bits
+        1..12, pinned by sha256."""
+        digest = hashlib.sha256()
+        for C in range(1, 13):
+            for m in range(1, min(C, 3) + 1):
+                placement = deploy(SimConfig(C, m, 1, 1, 0))
+                for b in range(1, 13):
+                    r = sim.summarize(SimConfig(C, m, 1, b, 0), placement)
+                    line = (
+                        f"{C},{m},{b},{r.baseline_bits},{r.color_bits},{r.baseline_feasible},"
+                        f"{r.color_feasible},{r.color_feasible_deployed}\n"
+                    )
+                    digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "30529f48e586c9e9b3c809e3f142ff4d3b48048ea692881855f594e029db9dc9"
+        )
+
     def test_sensor_blocks_have_block_squared_channels(self):
         _, records = run(SimConfig(6, 3, 20, 8, seed=4))
         assert all(len(r.sensors) == 9 and len(r.report) == 9 for r in records)
