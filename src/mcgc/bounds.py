@@ -61,7 +61,7 @@ def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
         raise InputError("need m >= 1 and k >= 1")
     total = multichoose(k, m)
     if cyclic:
-        if _is_prime(m) and k % m == 0:
+        if k % m == 0 and _is_prime(m):
             return total - k // m
         return total
     return total + m - 1
@@ -161,8 +161,11 @@ def min_colors_1d(M: int, m: int) -> int:
     """
     if m < 1 or M < m:
         raise InputError("need M >= m >= 1")
+    hi = 1  # gallop first: a ceiling far above M can run to millions of digits
+    while hi < _K_LIMIT and upper_bound(m, hi, cyclic=False) < M:
+        hi *= 2
     ks = range(1, _K_LIMIT + 1)
-    start = bisect_left(ks, M, key=lambda k: upper_bound(m, k, cyclic=False))
+    start = bisect_left(ks, M, hi // 2, min(hi, _K_LIMIT), key=lambda k: upper_bound(m, k, False))
     for k in ks[start:]:
         if any(value >= M for value, _, _ in _lower_candidates(m, k)):
             return bound_record(m, k).k

@@ -5,6 +5,11 @@ occurrences in ascending color order; every sequence is one up to rotation
 and relabeling).  It prunes a prefix whose newest window repeats, and keeps a
 word longer than the best when its wrapping windows are new too.  Ascending
 preorder meets each length lexicographically, so the witness is the smallest.
+
+Keys are exact integers.  Color c weighs (m+1)**(c-1); no window holds more
+than m of a color, so its weight sum is its count vector read in base m+1.
+Equal sums are equal multisets, and a sum is a difference of prefix sums.  A
+prefix shorter than m keys as its own sum: fewer symbols than any window.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 from .bounds import upper_bound
 from .errors import InputError
-from .sequences import ColorSequence, window_keys
+from .sequences import ColorSequence
 
 __all__ = ["SearchResult", "brute_force_max_cyclic"]
 
@@ -45,36 +50,37 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
         raise InputError("m, k and the length cap must all be at least 1")
     ceiling = upper_bound(m, k, cyclic=True)
     limit = min(length_cap, ceiling)
-    # per symbol: the key it completes, and the largest color up to it.  Before
-    # m symbols the key is the sorted prefix, which no window key can equal.
+    weight = [0] + [(m + 1) ** c for c in range(min(k, limit))]  # colors a canonical word can use
+    # per symbol: its prefix sum, and the largest color the next symbol may take
     word: list[int] = []
-    keys: list[tuple[int, ...]] = []
-    tops = [0]
-    seen: set[tuple[int, ...]] = set()
+    prefix = [0]
+    tops = [1]
+    seen: set[int] = set()
     best: list[int] = []
     color = 1
     while len(best) < limit and (word or color == 1):  # the root tries color 1 only
-        if color > min(k, tops[-1] + 1) or len(word) == limit:
+        n = len(word) + 1
+        top = tops[-1] if n <= limit else 0
+        base = prefix[-1] - prefix[n - m] if n >= m else prefix[-1]  # the key, less the new color
+        while color <= top and base + weight[color] in seen:
+            color += 1
+        if color > top:
             color = word.pop() + 1
-            seen.remove(keys.pop())
+            last = prefix.pop()
+            seen.remove(last - prefix[n - 1 - m] if n > m else last)
             tops.pop()
             continue
         word.append(color)
-        key = tuple(sorted(word[-m:]))  # window_keys' key, inlined: hot loop
-        if key in seen:
-            word.pop()
-            color += 1
-            continue
-        seen.add(key)
-        keys.append(key)
-        tops.append(max(tops[-1], color))
+        prefix.append(prefix[-1] + weight[color])
+        seen.add(base + weight[color])
+        tops.append(top + 1 if color == top < k else top)
         color = 1
-        n = len(word)
         if n > len(best):
-            # the seam's windows are the m - 1 that wrap, or all n when n < m
-            seam = word[n + 1 - m :] + word[: m - 1] if n >= m else (word * m)[: n + m - 1]
-            wrapped = window_keys(seam, m, cyclic=False)
-            if len(set(wrapped)) == len(wrapped) and seen.isdisjoint(wrapped):
+            # the m - 1 windows that wrap, or all n when n < m; the one from s
+            # keys as P(s + m) - P(s), with P(x) = (x // n) * prefix[n] + prefix[x % n]
+            starts = range(max(0, n + 1 - m), n)
+            wrapped = {(s + m) // n * prefix[n] + prefix[(s + m) % n] - prefix[s] for s in starts}
+            if len(wrapped) == len(starts) and seen.isdisjoint(wrapped):
                 best = word[:]
     return SearchResult(
         max_length=len(best),

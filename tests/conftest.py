@@ -7,17 +7,19 @@ import pytest
 from mcgc import construct, crossing
 from mcgc.errors import PlanError
 from mcgc.grid2d import block_starts
-from mcgc.sequences import ColorSequence, window_starts
+from mcgc.sequences import ColorSequence
 
 
 def naive_distinguishable(seq, m):
     """Quadratic oracle: compare sorted window contents pairwise.
 
-    Independent of the library's window keys and collision scan.
+    Independent of the library's window keys and collision scan.  Cyclic
+    windows start anywhere and wrap, more than once when the word is shorter
+    than m.
     """
     n = len(seq)
     windows = []
-    for t in window_starts(seq, m):
+    for t in range(n) if seq.mode == "cyclic" else range(n - m + 1):
         if seq.mode == "cyclic":
             win = sorted(seq.colors[(t + i) % n] for i in range(m))
         else:
@@ -28,6 +30,19 @@ def naive_distinguishable(seq, m):
             if windows[i] == windows[j]:
                 return False, (i, j)
     return True, None
+
+
+def naive_max_cyclic(m, k, cap):
+    """Exhaustive oracle for brute_force_max_cyclic: (length, word) of the
+    first canonical word, longest length up to cap first, whose cyclic
+    windows naive_distinguishable accepts.  Canonical: first symbol 1, and
+    each symbol at most one above the largest before it."""
+    for n in range(cap, 0, -1):
+        for tail in itertools.product(range(1, k + 1), repeat=n - 1):
+            word = (1,) + tail
+            canonical = all(c <= max(word[:i]) + 1 for i, c in enumerate(word) if i)
+            if canonical and naive_distinguishable(ColorSequence(word, k, "cyclic"), m)[0]:
+                return n, word
 
 
 def naive_grid_distinguishable(g, m, n):

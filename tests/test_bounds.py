@@ -190,6 +190,19 @@ class TestMinColors:
         assert min_colors_1d(3000, 3000) == 3001
         assert calls == {"bound_record": 1, "lower_bound": 0}
 
+    def test_ceiling_probes_stay_near_the_answer(self, monkeypatch):
+        # a ceiling at k near the palette limit has millions of digits
+        probed = []
+        ceiling = bounds.upper_bound
+
+        def counting(m, k, cyclic=True):
+            probed.append(k)
+            return ceiling(m, k, cyclic)
+
+        monkeypatch.setattr(bounds, "upper_bound", counting)
+        assert min_colors_1d(100000, 100000) == 100001
+        assert max(probed) <= 2 * 100001
+
 
 class TestCodingGain:
     def test_documented_cells(self):

@@ -120,6 +120,18 @@ class TestCutSearch:
         assert code == 0
         assert out.splitlines()[1] == "# search m=2 max=1035 proven cap=1035 ceiling=1035"
 
+    def test_search_max_on_a_huge_prime_window(self):
+        # the prime test of the ceiling runs only when m divides k, and the
+        # one-symbol word's wrapped window is keyed without being spelled out
+        m = 1000000000000000003
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcgc.cli", "search-max", "--m", str(m), "--k", "1", "--cap", "1"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1] == f"# search m={m} max=1 proven cap=1 ceiling=1"
+
 
 class TestCrossCompose:
     def test_cross_auto_shifts_palette(self, tmp_path, capsys):

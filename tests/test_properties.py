@@ -3,8 +3,9 @@ the axis-backed product codebook against the grid's codebook (also on keys
 of other lengths than a block's), decoding from reported colors against
 decoding a multiset, the count-vector keys a codebook takes and finds
 against an independent oracle, compose_for_m's pick against the exhaustive
-palette oracle, format-then-parse round trips of the sequence, grid and
-codebook files, and a slot record's JSON against json.dumps."""
+palette oracle, the exhaustive search against a search over every word,
+format-then-parse round trips of the sequence, grid and codebook files, and
+a slot record's JSON against json.dumps."""
 
 import json
 from dataclasses import fields
@@ -13,8 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_compose, naive_distinguishable, naive_grid_distinguishable
+from conftest import (
+    naive_compose,
+    naive_distinguishable,
+    naive_grid_distinguishable,
+    naive_max_cyclic,
+)
 
+from mcgc.bounds import upper_bound
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
 from mcgc.errors import ComposeError, InputError, McgcError, UnknownBlockError
@@ -34,6 +41,7 @@ from mcgc.grid2d import (
     product_codebook,
     product_grid,
 )
+from mcgc.search import brute_force_max_cyclic
 from mcgc.sequences import (
     ColorSequence,
     Multiset,
@@ -275,6 +283,25 @@ def test_compose_matches_exhaustive_oracle(cached_builds, m, max_colors, min_len
         return
     got = compose_for_m(m, max_colors=max_colors, min_length=min_length)
     assert (got.factor_palettes, got.plans) == want
+
+
+@st.composite
+def search_instances(draw):
+    # ceilings up to 10 keep the oracle's k**(cap - 1) words few
+    m, k = draw(
+        st.tuples(st.integers(1, 9), st.integers(1, 6)).filter(
+            lambda mk: upper_bound(*mk, cyclic=True) <= 10
+        )
+    )
+    return m, k, draw(st.integers(1, upper_bound(m, k, cyclic=True) + 1))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(search_instances())
+def test_search_matches_exhaustive_oracle(case):
+    m, k, cap = case
+    result = brute_force_max_cyclic(m, k, cap)
+    assert (result.max_length, result.witness.colors) == naive_max_cyclic(m, k, cap)
 
 
 # Comment words as the commands write them: free words and key=value tokens

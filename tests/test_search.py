@@ -104,3 +104,18 @@ def test_sweep_is_pinned():
 def test_deep_words_need_no_recursion():
     # one symbol per level: deeper than the interpreter's recursion limit
     assert brute_force_max_cyclic(1, 1200, 1200).max_length == 1200
+
+
+def test_short_words_wrapped_many_times_are_pinned():
+    # m 8..12 on one or two colors wraps a short word several times; the
+    # larger instances reach deep words.  Recorded before windows were keyed
+    # by weight sums.
+    records = []
+    cases = [(m, k, cap) for m in range(8, 13) for k in (1, 2)
+             for cap in range(1, upper_bound(m, k, cyclic=True) + 2)]
+    for m, k, cap in cases + [(6, 3, 29), (5, 3, 60), (4, 4, 26), (2, 45, 1035)]:
+        r = brute_force_max_cyclic(m, k, cap)
+        records.append((m, k, cap, r.max_length, r.witness.colors, r.proven, r.ceiling))
+    assert len(records) == 74
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "4125b2661e343352de8fccf67e477d0776c8e2bd2c9732a5bf033cd2e94d5656"
