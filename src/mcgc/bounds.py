@@ -7,9 +7,11 @@ gain tables truncate to three decimals rather than round (0.4347 prints as
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar, Iterable, Sequence
 
 from .construct import cyclic_length, palettes
@@ -166,6 +168,8 @@ def min_colors_1d(M: int, m: int) -> int:
         hi *= 2
     ks = range(1, _K_LIMIT + 1)
     start = bisect_left(ks, M, hi // 2, min(hi, _K_LIMIT), key=lambda k: upper_bound(m, k, False))
+    if m != 1 and m not in _Y0:  # only the subset-cycle family, from k = m on
+        start = max(start, m - 1)
     for k in ks[start:]:
         if any(value >= M for value, _, _ in _lower_candidates(m, k)):
             return bound_record(m, k).k
@@ -235,35 +239,46 @@ def gain_table(
     sizes: Sequence[int], blocks: Sequence[tuple[int, int]]
 ) -> list[GainRecord]:
     """Gain records for every (M, N) in sizes x sizes, per block shape."""
-    out: list[GainRecord] = []
     ordered = sorted(set(sizes))
-    for m, n in blocks:
-        for M in ordered:
-            for N in ordered:
-                out.append(gain_record(M, N, m, n))
-    return out
+    return [gain_record(M, N, m, n) for m, n in blocks for M in ordered for N in ordered]
+
+
+# Per table: its CSV header, and per row its CSV line and its JSON object.
+_TABLES = {
+    "bounds": (
+        "m,k,lower,upper,tight,lower_provenance,upper_provenance,existence_only\n",
+        lambda r: f"{r.m},{r.k},{r.lower},{r.upper},{str(r.tight).lower()},"
+        f"{r.lower_provenance},{r.upper_provenance},{str(r.existence_only).lower()}\n",
+        vars,  # the fields, as asdict gives them, without its deep copy
+    ),
+    "kmin": ("m,M,k\n", lambda r: "{},{},{}\n".format(*r), lambda r: dict(m=r[0], M=r[1], k=r[2])),
+    "gain": (
+        "m,n,M,N,k_M,k_N,gain\n",
+        lambda r: f"{r.m},{r.n},{r.M},{r.N},{r.k_M},{r.k_N},{gain_3dp(r.gain):.3f}\n",
+        lambda r: vars(r) | {"gain": gain_3dp(r.gain)},
+    ),
+}
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _table_chunks(table: str, rows: Iterable, fmt: str = "csv") -> Iterable[str]:
+    """The named table as CSV, or as the bytes of ``json.dumps(objects,
+    sort_keys=True, indent=2) + "\\n"``.  Every row is formatted before this
+    returns, so a row that cannot be printed fails before any byte is written."""
+    header, line, item = _TABLES[table]
+    if fmt == "csv":
+        return [header, *map(line, rows)]
+    items = [_JSON.encode([item(r)])[1:-2] for r in rows]  # "\n  {...}", as in a list
+    return chain(["["], items[:1], ("," + t for t in items[1:]), ["\n]\n" if items else "]\n"])
 
 
 def render_bounds_csv(records: Iterable[BoundRecord]) -> str:
-    lines = ["m,k,lower,upper,tight,lower_provenance,upper_provenance,existence_only"]
-    for r in records:
-        lines.append(
-            f"{r.m},{r.k},{r.lower},{r.upper},{str(r.tight).lower()},"
-            f"{r.lower_provenance},{r.upper_provenance},{str(r.existence_only).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_table_chunks("bounds", records))
 
 
 def render_kmin_csv(rows: Iterable[tuple[int, int, int]]) -> str:
-    lines = ["m,M,k"]
-    lines.extend(f"{m},{M},{k}" for m, M, k in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_table_chunks("kmin", rows))
 
 
 def render_gain_csv(records: Iterable[GainRecord]) -> str:
-    lines = ["m,n,M,N,k_M,k_N,gain"]
-    for r in records:
-        lines.append(
-            f"{r.m},{r.n},{r.M},{r.N},{r.k_M},{r.k_N},{gain_3dp(r.gain):.3f}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_table_chunks("gain", records))

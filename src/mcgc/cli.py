@@ -3,8 +3,9 @@
 One tool exposing construction, verification, cutting, exhaustive search,
 bound/kmin/gain tables, grid building, codebook building, decoding, and the
 tracking simulator.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Each ``cmd_*`` returns its data text and exit code; ``dispatch`` writes the
-text to stdout (or --output FILE) in one place.  Diagnostics go to stderr.
+Each ``cmd_*`` makes every check, then returns its data as text chunks and
+its exit code; ``dispatch`` writes the chunks as they come to stdout (or
+--output FILE) in one place.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,26 +14,17 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
 
 from . import __version__
-from .bounds import (
-    bounds_table,
-    gain_3dp,
-    gain_table,
-    kmin_table,
-    render_bounds_csv,
-    render_gain_csv,
-    render_kmin_csv,
-)
+from .bounds import _table_chunks, bounds_table, gain_table, kmin_table
 from .construct import build
 from .crossing import _MAX_COLORS, compose_for_m, cross, plan_cross, shift_palette
 from .errors import InputError, McgcError
 from .grid2d import (
+    _codebook_lines,
+    _grid_lines,
     build_codebook,
     decode_colors,
-    format_codebook,
-    format_grid,
     parse_codebook,
     parse_grid,
     product_grid,
@@ -70,10 +62,6 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _json_table(payload: list) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _read_sequences(path: str) -> list[ColorSequence]:
     seqs = parse_sequences(_read_text(path))
     if not seqs:
@@ -102,17 +90,17 @@ def _parse_range(text: str) -> list[int]:
     return _int_list(text)
 
 
-def cmd_construct(args) -> tuple[str, int]:
+def cmd_construct(args) -> tuple[Iterable[str], int]:
     seq = build(args.m, args.k)
     if args.linear:
         t = args.cut if args.cut is not None else len(seq) - 1
         seq = t_cut(seq, t, args.m)
     elif args.cut is not None:
         raise InputError("--cut only applies together with --linear")
-    return format_sequence(seq), 0
+    return [format_sequence(seq)], 0
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[Iterable[str], int]:
     failures = 0
     lines = []
     for seq in _read_sequences(args.file):
@@ -130,59 +118,53 @@ def cmd_verify(args) -> tuple[str, int]:
             result = {"ok": False, "collision": [i, j]}
             line = f"collision: windows {i} and {j} carry the same multiset"
         lines.append(json.dumps(result, sort_keys=True) if args.format == "json" else line)
-    return "\n".join(lines) + "\n", 1 if failures else 0
+    return ["\n".join(lines) + "\n"], 1 if failures else 0
 
 
-def cmd_cut(args) -> tuple[str, int]:
+def cmd_cut(args) -> tuple[Iterable[str], int]:
     seq = _read_sequences(args.file)[0].with_mode("cyclic")
-    return format_sequence(t_cut(seq, args.t, args.m)), 0
+    return [format_sequence(t_cut(seq, args.t, args.m))], 0
 
 
-def cmd_search_max(args) -> tuple[str, int]:
+def cmd_search_max(args) -> tuple[Iterable[str], int]:
     result = brute_force_max_cyclic(args.m, args.k, args.cap)
     status = "proven" if result.proven else "cap-limited"
     comments = [
         f"search m={args.m} max={result.max_length} {status} "
         f"cap={result.cap} ceiling={result.ceiling}"
     ]
-    return format_sequence(result.witness, comments), 0
+    return [format_sequence(result.witness, comments)], 0
 
 
-def cmd_cross(args) -> tuple[str, int]:
+def cmd_cross(args) -> tuple[Iterable[str], int]:
     s = _read_sequences(args.s)[0].with_mode("cyclic")
     t = _read_sequences(args.t)[0].with_mode("cyclic")
     if min(t.colors) <= s.palette_size:
         t = shift_palette(t, s.palette_size)
     plan = plan_cross(len(s), args.m1, len(t), args.m2)
     out = cross(s, t, plan)
-    comments = [
-        f"cross split={args.m1}+{args.m2} d={plan.d} L={plan.L}",
-    ]
-    return format_sequence(out, comments), 0
+    comments = [f"cross split={args.m1}+{args.m2} d={plan.d} L={plan.L}"]
+    return [format_sequence(out, comments)], 0
 
 
-def cmd_compose(args) -> tuple[str, int]:
+def cmd_compose(args) -> tuple[Iterable[str], int]:
     result = compose_for_m(args.m, max_colors=args.max_colors)
     split = "+".join(str(p) for p in result.split)
     comments = [f"compose split={split} palettes={','.join(map(str, result.factor_palettes))}"]
     comments.extend(
         f"stage {i}: d={plan.d} L={plan.L}" for i, plan in enumerate(result.plans)
     )
-    return format_sequence(result.sequence, comments), 0
+    return [format_sequence(result.sequence, comments)], 0
 
 
-def cmd_bounds(args) -> tuple[str, int]:
+def cmd_bounds(args) -> tuple[Iterable[str], int]:
     records = bounds_table(args.m, _parse_range(args.k_range))
-    if args.format == "json":
-        return _json_table([asdict(r) for r in records]), 0
-    return render_bounds_csv(records), 0
+    return _table_chunks("bounds", records, args.format), 0
 
 
-def cmd_kmin(args) -> tuple[str, int]:
+def cmd_kmin(args) -> tuple[Iterable[str], int]:
     rows = kmin_table(_int_list(args.m), _int_list(args.sizes))
-    if args.format == "json":
-        return _json_table([{"m": m, "M": M, "k": k} for m, M, k in rows]), 0
-    return render_kmin_csv(rows), 0
+    return _table_chunks("kmin", rows, args.format), 0
 
 
 def _parse_blocks(text: str) -> list[tuple[int, int]]:
@@ -198,32 +180,29 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
     return blocks
 
 
-def cmd_gain(args) -> tuple[str, int]:
+def cmd_gain(args) -> tuple[Iterable[str], int]:
     records = gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
-    if args.format == "json":
-        return _json_table([asdict(r) | {"gain": gain_3dp(r.gain)} for r in records]), 0
-    return render_gain_csv(records), 0
+    return _table_chunks("gain", records, args.format), 0
 
 
-def cmd_grid(args) -> tuple[str, int]:
+def cmd_grid(args) -> tuple[Iterable[str], int]:
     s = _read_sequences(args.s)[0]
     t = _read_sequences(args.t)[0]
-    return format_grid(product_grid(s, t)), 0
+    return _grid_lines(product_grid(s, t)), 0
 
 
-def cmd_codebook(args) -> tuple[str, int]:
+def cmd_codebook(args) -> tuple[Iterable[str], int]:
     grid = parse_grid(_read_text(args.grid))
-    cb = build_codebook(grid, args.m, args.n)
-    return format_codebook(cb), 0
+    return _codebook_lines(build_codebook(grid, args.m, args.n)), 0
 
 
-def cmd_decode(args) -> tuple[str, int]:
+def cmd_decode(args) -> tuple[Iterable[str], int]:
     cb = parse_codebook(_read_text(args.codebook))
     pos = decode_colors(cb, _int_list(args.colors))
-    return f"{pos[0]} {pos[1]}\n", 0
+    return [f"{pos[0]} {pos[1]}\n"], 0
 
 
-def cmd_simulate(args) -> tuple[str, int]:
+def cmd_simulate(args) -> tuple[Iterable[str], int]:
     if args.config:
         config = parse_config(_read_text(args.config))
     else:
@@ -240,7 +219,7 @@ def cmd_simulate(args) -> tuple[str, int]:
     else:
         for _ in slots:  # every slot is still decoded and checked
             pass
-    return report.to_json() + "\n", 0
+    return [report.to_json() + "\n"], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,8 +341,8 @@ def dispatch(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        text, code = args.func(args)
-        _write(args.output, (text,))
+        chunks, code = args.func(args)
+        _write(args.output, chunks)
         return code
     except (McgcError, OSError, ValueError) as exc:  # ValueError: an int too long to print
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import count, product, repeat
+from itertools import chain, count, product, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -361,9 +361,14 @@ def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
 
 def format_grid(g: ColorGrid2D) -> str:
     """Grid file: '#' header with M, N, k, mode; one CSV row per grid row."""
-    lines = [f"# M={g.M} N={g.N} k={g.palette_size} mode={g.mode}"]
-    lines.extend(",".join(str(c) for c in row) for row in g.cells)
-    return "\n".join(lines) + "\n"
+    return "".join(_grid_lines(g))
+
+
+def _grid_lines(g: ColorGrid2D) -> Iterator[str]:
+    """The lines of ``format_grid``, made one grid row at a time."""
+    header = f"# M={g.M} N={g.N} k={g.palette_size} mode={g.mode}\n"
+    row_format = ",".join(["%s"] * g.N) + "\n"  # one C call per row, not one per cell
+    return chain([header], (row_format % tuple(row) for row in g.cells))
 
 
 def parse_grid(text: str) -> ColorGrid2D:
@@ -386,17 +391,18 @@ def parse_grid(text: str) -> ColorGrid2D:
 
 def format_codebook(cb: Codebook) -> str:
     """Codebook file: CSV rows key,x0,y0 with the key's counts joined by '-'."""
-    lines = [
-        f"# m={cb.block_m} n={cb.block_n} k={cb.palette_size} mode={cb.mode}",
-        "key,x0,y0",
-    ]
+    return "".join(_codebook_lines(cb))
+
+
+def _codebook_lines(cb: Codebook) -> Iterator[str]:
+    """The lines of ``format_codebook``, made one row at a time; a palette
+    too long to write is refused before this returns."""
     table, k = cb.entries.table, cb.palette_size
     _require_length(k, "each count vector in the codebook file", InputError)
     # keys of one size: descending sorted colors are ascending count vectors
-    for colors in sorted(table, reverse=True):
-        x0, y0 = table[colors]
-        lines.append(f"{Multiset.of(colors, k).key()},{x0},{y0}")
-    return "\n".join(lines) + "\n"
+    keys = sorted(table, reverse=True)
+    header = f"# m={cb.block_m} n={cb.block_n} k={k} mode={cb.mode}\nkey,x0,y0\n"
+    return chain([header], ("{},{},{}\n".format(Multiset.of(c, k).key(), *table[c]) for c in keys))
 
 
 def parse_codebook(text: str) -> Codebook:

@@ -173,6 +173,25 @@ class TestMinColors:
         assert min_colors_1d(10**7, m) == k
         assert len(calls) < 50
 
+    def test_subset_cycle_windows_scan_from_the_window(self, monkeypatch):
+        # no family covers a palette below the window there: a window past
+        # the palette limit failed after 10**7 calls
+        calls = []
+        candidates = bounds._lower_candidates
+
+        def counting(m, k):
+            calls.append(k)
+            return candidates(m, k)
+
+        monkeypatch.setattr(bounds, "_lower_candidates", counting)
+        assert min_colors_1d(7, 7) == 8
+        assert min(calls) == 7
+        calls.clear()
+        huge = 10**18 + 3
+        with pytest.raises(UnsupportedParameterError, match=f"reaches length {huge} "):
+            min_colors_1d(huge, huge)
+        assert calls == []
+
     def test_no_record_per_palette_tried(self, monkeypatch):
         calls = {"bound_record": 0, "lower_bound": 0}
 

@@ -15,6 +15,8 @@ from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
 import mcgc
 from mcgc import cli, crossing, sim
 from mcgc.cli import dispatch
+from mcgc.grid2d import build_codebook, format_codebook, format_grid
+from mcgc.sequences import parse_sequences
 
 
 def run_cli(capsys, *argv):
@@ -214,8 +216,42 @@ class TestTables:
         code, _, err = run_cli(capsys, "bounds", "--m", "5", "--k-range", "3..4")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("argv, header", [
+        (["bounds", "--m", "2", "--k-range", ","], "m,k,lower,upper,tight,"),
+        (["kmin", "--m", ",", "--sizes", "10"], "m,M,k\n"),
+        (["gain", "--sizes", ",", "--blocks", "2"], "m,n,M,N,k_M,k_N,gain\n"),
+    ], ids=["bounds", "kmin", "gain"])
+    def test_empty_tables(self, argv, header, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(header) and out.count("\n") == 1
+        assert run_cli(capsys, *argv, "--format", "json") == (0, "[]\n", "")
+
 
 class TestGridPipeline:
+    @pytest.mark.parametrize("command, k", [("grid", "36"), ("codebook", "12")])
+    def test_files_stream_in_flat_memory(self, command, k, tmp_path, capsys):
+        # joining the whole file before writing it peaked at about 6 MB
+        axis, grid, out = (str(tmp_path / name) for name in ("axis.txt", "grid.csv", "out.csv"))
+        assert dispatch(["construct", "--m", "2", "--k", k, "--linear", "-o", axis]) == 0
+        assert dispatch(["grid", "--s", axis, "--t", axis, "-o", grid]) == 0
+        argv = {
+            "grid": ["grid", "--s", axis, "--t", axis],
+            "codebook": ["codebook", "--grid", grid, "--m", "2", "--n", "2"],
+        }[command]
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, *argv, "-o", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "", "")
+        assert peak < 2 * 2**20
+        seq = parse_sequences(Path(axis).read_text())[0]
+        g = mcgc.product_grid(seq, seq)
+        want = format_grid(g) if command == "grid" else format_codebook(build_codebook(g, 2, 2))
+        assert Path(out).read_text() == want
+
     def test_grid_codebook_decode(self, tmp_path, capsys):
         axis = tmp_path / "axis.txt"
         run_cli(
@@ -290,6 +326,19 @@ def test_decode_refuses_codebook_with_blocks_below_one_side(text, tmp_path, caps
         code, out, err = run_cli(capsys, "decode", "--codebook", str(book), "--colors", colors)
         assert (code, out) == (1, "")
         assert err == "error: block dimensions must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["codebook", "--grid", "big.csv", "--m", "1", "--n", "1"],
+    ["bounds", "--m", "5", "--k-range", "6..10"],  # fails at its last row, k = 10
+])
+def test_failing_command_creates_no_output_file(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("big.csv").write_text("# k=1048577\n1\n")
+    code, out, err = run_cli(capsys, *argv, "-o", "out.csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not Path("out.csv").exists()
 
 
 # `decode` on the 2x2 codebook of the 7x7 product of "1 1 2 2 3 3 1" (9

@@ -5,10 +5,11 @@ decoding a multiset, the count-vector keys a codebook takes and finds
 against an independent oracle, compose_for_m's pick against the exhaustive
 palette oracle, the exhaustive search against a search over every word,
 format-then-parse round trips of the sequence, grid and codebook files, and
-a slot record's JSON against json.dumps."""
+a slot record's and the bound, kmin and gain tables' JSON against
+json.dumps."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,7 +22,7 @@ from conftest import (
     naive_max_cyclic,
 )
 
-from mcgc.bounds import upper_bound
+from mcgc.bounds import BoundRecord, GainRecord, _table_chunks, gain_3dp, upper_bound
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
 from mcgc.errors import ComposeError, InputError, McgcError, UnknownBlockError
@@ -391,3 +392,32 @@ def test_slot_record_json_matches_json_dumps(record):
     payload = {f.name: getattr(record, f.name) for f in fields(record)}
     want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert record.to_json() == want
+
+
+TABLE_ROWS = {
+    "bounds": st.builds(
+        BoundRecord, RECORD_INT, RECORD_INT, RECORD_INT, RECORD_INT, st.booleans(),
+        st.text(), st.text(), st.booleans(),
+    ),
+    "kmin": st.tuples(RECORD_INT, RECORD_INT, RECORD_INT),
+    "gain": st.builds(
+        GainRecord, *[RECORD_INT] * 6, st.floats(-1e6, 1e6) | st.sampled_from([0.4347, 1.0])
+    ),
+}
+# the reference: each table's JSON objects built directly from its rows
+TABLE_OBJECTS = {
+    "bounds": asdict,
+    "kmin": lambda row: {"m": row[0], "M": row[1], "k": row[2]},
+    "gain": lambda r: asdict(r) | {"gain": gain_3dp(r.gain)},
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TABLE_ROWS)).flatmap(
+    lambda table: st.tuples(st.just(table), st.lists(TABLE_ROWS[table], max_size=5))
+))
+@example(("bounds", []))
+def test_table_json_matches_json_dumps(case):
+    table, rows = case
+    want = json.dumps([TABLE_OBJECTS[table](r) for r in rows], sort_keys=True, indent=2)
+    assert "".join(_table_chunks(table, rows, "json")) == want + "\n"
