@@ -5,6 +5,8 @@ by their color multisets, plus the bound and gain tables that size them and
 a batch tracking simulator that exercises them over a grid sensor field.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundRecord,
     GainRecord,
@@ -81,74 +83,8 @@ from .sim import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # sequences
-    "ColorSequence",
-    "Multiset",
-    "DistinguishabilityReport",
-    "window_multiset",
-    "check_distinguishable",
-    "t_cut",
-    # construction
-    "Multigraph",
-    "eulerian_circuit",
-    "RecursionPair",
-    "build_m1",
-    "build_m2",
-    "build_m3",
-    "build_m3_pair",
-    "pad_with_new_colors",
-    "SearchResult",
-    "brute_force_max_cyclic",
-    # crossing
-    "CrossProductPlan",
-    "ComposeResult",
-    "plan_cross",
-    "cross",
-    "shift_palette",
-    "compose_for_m",
-    # bounds
-    "BoundRecord",
-    "GainRecord",
-    "multichoose",
-    "upper_bound",
-    "lower_bound",
-    "bound_record",
-    "min_colors_1d",
-    "min_colors_2d",
-    "coding_gain",
-    "gain_record",
-    # grids
-    "ColorGrid2D",
-    "Codebook",
-    "product_grid",
-    "block_multiset",
-    "check_grid_distinguishable",
-    "build_codebook",
-    "decode",
-    "decode_colors",
-    # simulator
-    "SimConfig",
-    "SimReport",
-    "SlotRecord",
-    "Deployment",
-    "deploy",
-    "summarize",
-    "iter_slots",
-    "run",
-    # errors
-    "McgcError",
-    "InputError",
-    "GraphError",
-    "SelfCheckError",
-    "PlanError",
-    "PaletteError",
-    "ComposeError",
-    "CollisionError",
-    "DecodeError",
-    "CardinalityError",
-    "UnknownBlockError",
-    "UnsupportedParameterError",
-    "TrackingError",
+__all__ = ["__version__"] + [  # the public names imported above, not the modules
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -222,6 +222,13 @@ def cmd_simulate(args) -> tuple[Iterable[str], int]:
     return [report.to_json() + "\n"], 0
 
 
+def _command(sub, func, help: str) -> argparse.ArgumentParser:
+    """The subcommand that runs func, named after it: cmd_search_max is search-max."""
+    p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcgc",
@@ -237,61 +244,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("construct", help="build a distinguishable sequence")
+    p = _command(sub, cmd_construct, "build a distinguishable sequence")
     p.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--k", type=int, required=True, help="palette size")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cyclic", action="store_true", help="cyclic output (default)")
     group.add_argument("--linear", action="store_true", help="cut the cycle open")
     p.add_argument("--cut", type=int, help="cut position for --linear (default: last)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check distinguishability of sequences in a file")
+    p = _command(sub, cmd_verify, "check distinguishability of sequences in a file")
     p.add_argument("--m", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cyclic", action="store_true", help="force cyclic mode")
     group.add_argument("--linear", action="store_true", help="force linear mode")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("file", help="sequence file, or - for stdin")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cut", help="linearize a cyclic sequence")
+    p = _command(sub, cmd_cut, "linearize a cyclic sequence")
     p.add_argument("--t", type=int, required=True, help="cut position")
     p.add_argument("--m", type=int, required=True, help="window size")
     p.add_argument("file", help="sequence file, or - for stdin")
-    p.set_defaults(func=cmd_cut)
 
-    p = sub.add_parser("search-max", help="exhaustive longest-sequence search")
+    p = _command(sub, cmd_search_max, "exhaustive longest-sequence search")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=int, required=True, help="length cap")
-    p.set_defaults(func=cmd_search_max)
 
-    p = sub.add_parser("cross", help="interleave two cyclic sequences")
+    p = _command(sub, cmd_cross, "interleave two cyclic sequences")
     p.add_argument("--s", required=True, help="first sequence file")
     p.add_argument("--t", required=True, help="second sequence file")
     p.add_argument("--m1", type=int, required=True, help="first window size")
     p.add_argument("--m2", type=int, required=True, help="second window size")
-    p.set_defaults(func=cmd_cross)
 
-    p = sub.add_parser("compose", help="build a sequence for any window size")
+    p = _command(sub, cmd_compose, "build a sequence for any window size")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-colors", type=int, default=_MAX_COLORS)
-    p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("bounds", help="length bound table (CSV)")
+    p = _command(sub, cmd_bounds, "length bound table (CSV)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k-range", required=True, help="A..B, comma list, or single k")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("kmin", help="minimal colors table (CSV)")
+    p = _command(sub, cmd_kmin, "minimal colors table (CSV)")
     p.add_argument("--m", required=True, help="window size(s), comma separated")
     p.add_argument("--sizes", required=True, help="grid sizes, comma separated")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_kmin)
 
-    p = sub.add_parser("gain", help="coding gain table (CSV)")
+    p = _command(sub, cmd_gain, "coding gain table (CSV)")
     p.add_argument("--sizes", required=True, help="grid sizes, comma separated")
     p.add_argument(
         "--blocks",
@@ -299,25 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="block shapes: '3' means 3x3, or 'MxN', comma separated",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_gain)
 
-    p = sub.add_parser("grid", help="product color grid from two sequences")
+    p = _command(sub, cmd_grid, "product color grid from two sequences")
     p.add_argument("--s", required=True, help="x-axis sequence file")
     p.add_argument("--t", required=True, help="y-axis sequence file")
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("codebook", help="build the multiset-to-position table")
+    p = _command(sub, cmd_codebook, "build the multiset-to-position table")
     p.add_argument("--grid", required=True, help="grid file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_codebook)
 
-    p = sub.add_parser("decode", help="look up a reported multiset")
+    p = _command(sub, cmd_decode, "look up a reported multiset")
     p.add_argument("--codebook", required=True, help="codebook file")
     p.add_argument("--colors", required=True, help="reported colors, comma separated")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("simulate", help="run the tracking simulator")
+    p = _command(sub, cmd_simulate, "run the tracking simulator")
     p.add_argument("--cells", type=int, help="cells per side C")
     p.add_argument("--m", type=int, help="detection block side")
     p.add_argument("--slots", type=int, help="number of time slots")
@@ -326,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", default="uniform", help="uniform | walk | walk:P")
     p.add_argument("--config", help="key=value config file instead of flags")
     p.add_argument("--records", help="write per-slot records (NDJSON) here")
-    p.set_defaults(func=cmd_simulate)
 
     for p in sub.choices.values():  # last, so -o ends every command's help
         p.add_argument("-o", "--output", help="write data here instead of stdout")

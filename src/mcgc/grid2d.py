@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, count, product, repeat
+from itertools import chain, count, groupby, product, repeat
 from math import inf
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -43,6 +43,7 @@ GridMode = Literal["plain", "cyclic"]
 _GRID_MODES = ("plain", "cyclic")
 
 __all__ = [
+    "MAX_CELLS",
     "ColorGrid2D",
     "flat_pair",
     "product_grid",
@@ -102,12 +103,20 @@ def flat_pair(a: int, b: int, k2: int) -> int:
     return (a - 1) * k2 + b
 
 
+MAX_CELLS = 2**30  # a product grid with more cells is refused before any row is built
+
+
 def product_grid(s1: ColorSequence, s2: ColorSequence) -> ColorGrid2D:
     """Grid whose (x, y) cell pairs the axis colors, flattened to one id.
 
     Palette size is the product of the axis palettes; the grid is cyclic
-    only when both axes are cyclic.
+    only when both axes are cyclic.  More than MAX_CELLS cells raise InputError.
     """
+    M, N = len(s1), len(s2)
+    if M * N > MAX_CELLS:
+        raise InputError(
+            f"grid of {M} x {N} has {M * N} cells, more than the limit of {MAX_CELLS}"
+        )
     k2 = s2.palette_size
     rows = {a: tuple(flat_pair(a, b, k2) for b in s2.colors) for a in set(s1.colors)}
     cells = tuple(rows[a] for a in s1.colors)  # equal rows share one tuple
@@ -335,7 +344,7 @@ def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
     _require_size(cb, len(key))
     pos = cb.entries.table.get(key)
     if pos is None:
-        raise UnknownBlockError(f"multiset {Multiset.of(key, k).key()} is not a code symbol")
+        raise UnknownBlockError(f"multiset {_count_key(key, k)} is not a code symbol")
     return pos
 
 
@@ -389,6 +398,14 @@ def parse_grid(text: str) -> ColorGrid2D:
     return g
 
 
+def _count_key(colors: Sequence[int], k: int) -> str:
+    """``Multiset.of(colors, k).key()`` of sorted colors: a k-long '0' row set at each run."""
+    row = ["0"] * k
+    for color, run in groupby(colors):
+        row[color - 1] = str(sum(1 for _ in run))
+    return "-".join(row)
+
+
 def format_codebook(cb: Codebook) -> str:
     """Codebook file: CSV rows key,x0,y0 with the key's counts joined by '-'."""
     return "".join(_codebook_lines(cb))
@@ -402,7 +419,7 @@ def _codebook_lines(cb: Codebook) -> Iterator[str]:
     # keys of one size: descending sorted colors are ascending count vectors
     keys = sorted(table, reverse=True)
     header = f"# m={cb.block_m} n={cb.block_n} k={k} mode={cb.mode}\nkey,x0,y0\n"
-    return chain([header], ("{},{},{}\n".format(Multiset.of(c, k).key(), *table[c]) for c in keys))
+    return chain([header], ("{},{},{}\n".format(_count_key(c, k), *table[c]) for c in keys))
 
 
 def parse_codebook(text: str) -> Codebook:

@@ -273,14 +273,14 @@ def format_sequence(seq: ColorSequence, comments: Iterable[str] = ()) -> str:
 
 
 def data_lines(
-    text: str, header: dict, ints: Sequence[str], modes: Sequence[str]
+    text: str, header: dict, ints: Sequence[str] = (), modes: Sequence[str] = ()
 ) -> Iterator[str]:
     """Yield the stripped, non-blank lines of a text file that are not headers.
 
     A line starting with '#' is a header of key=value tokens: a key in ints is
-    stored in header as an int, mode= when its value is one of modes, and
-    other tokens are comments.  header thus holds the values in force at
-    each yielded line.  A bad value raises InputError.
+    stored in header as an int, mode= when modes are given and its value is
+    one of them, and other tokens are comments.  header thus holds the values
+    in force at each yielded line.  A bad value raises InputError.
     """
     for raw in text.splitlines():
         line = raw.strip()
@@ -295,7 +295,7 @@ def data_lines(
                     header[key] = int(value)
                 except ValueError as exc:
                     raise InputError(f"bad header token {token!r}") from exc
-            elif sep and key == "mode":
+            elif sep and key == "mode" and modes:
                 if value not in modes:
                     raise InputError(f"unknown mode {value!r} in header")
                 header[key] = value

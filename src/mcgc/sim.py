@@ -28,7 +28,7 @@ from .grid2d import (
     product_codebook,
     product_grid,
 )
-from .sequences import ColorSequence, t_cut
+from .sequences import ColorSequence, data_lines, t_cut
 
 __all__ = [
     "SimConfig",
@@ -112,10 +112,7 @@ def parse_config(text: str) -> SimConfig:
     """Flat key=value config: cells, m, slots, bits, seed, traj; any other
     key, or a key given twice, is refused."""
     values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in data_lines(text, {}):
         key, sep, value = line.partition("=")
         if not sep:
             raise InputError(f"bad config line {line!r}")

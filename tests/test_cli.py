@@ -13,7 +13,7 @@ import pytest
 from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
-from mcgc import cli, crossing, sim
+from mcgc import cli, crossing, grid2d, sim
 from mcgc.cli import dispatch
 from mcgc.grid2d import build_codebook, format_codebook, format_grid
 from mcgc.sequences import parse_sequences
@@ -338,6 +338,21 @@ def test_failing_command_creates_no_output_file(argv, tmp_path, capsys, monkeypa
     code, out, err = run_cli(capsys, *argv, "-o", "out.csv")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not Path("out.csv").exists()
+
+
+def test_grid_past_the_cell_limit_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(grid2d, "MAX_CELLS", 35)
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["construct", "--m", "2", "--k", "3", "--linear", "-o", "axis.txt"]) == 0
+    assert dispatch(["construct", "--m", "1", "--k", "5", "-o", "five.txt"]) == 0
+    argv = ["grid", "--s", "axis.txt", "--t", "five.txt", "-o", "out.csv"]
+    assert run_cli(capsys, *argv) == (0, "", "")  # 7 x 5 cells
+    Path("out.csv").unlink()
+    monkeypatch.setattr(grid2d, "MAX_CELLS", 34)
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: grid of 7 x 5 has 35 cells, more than the limit of 34\n"
+    )
     assert not Path("out.csv").exists()
 
 

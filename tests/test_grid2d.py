@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_sequence
 
-from mcgc import construct
+from mcgc import construct, grid2d
 from mcgc.bounds import multichoose
 from mcgc.construct import build_m1, build_m2
 from mcgc.errors import (
@@ -75,6 +75,17 @@ class TestProductGrid:
             ColorSequence(tuple([1] * 30), 1, "linear"),
         )
         assert (g.M, g.N) == (12, 30)
+
+    def test_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(grid2d, "MAX_CELLS", 12)
+        ones = {n: ColorSequence(tuple([1] * n), 1, "linear") for n in (1, 3, 4, 13)}
+        assert product_grid(ones[3], ones[4]).cells == ((1,) * 4,) * 3  # at the limit
+        for s1, s2 in [(ones[13], ones[1]), (ones[1], ones[13])]:
+            with pytest.raises(InputError) as info:
+                product_grid(s1, s2)
+            assert str(info.value) == (
+                f"grid of {len(s1)} x {len(s2)} has 13 cells, more than the limit of 12"
+            )
 
     def test_eight_square_from_pairs_word(self):
         axis = build_m2(4)  # 11332244, cyclic

@@ -4,7 +4,8 @@ of other lengths than a block's), decoding from reported colors against
 decoding a multiset, the count-vector keys a codebook takes and finds
 against an independent oracle, compose_for_m's pick against the exhaustive
 palette oracle, the exhaustive search against a search over every word,
-format-then-parse round trips of the sequence, grid and codebook files, and
+format-then-parse round trips of the sequence, grid and codebook files, the
+codebook rows and unknown-block text against count-vector keys, and
 a slot record's and the bound, kmin and gain tables' JSON against
 json.dumps."""
 
@@ -361,6 +362,30 @@ def test_grid_files_round_trip(case, data):
 def test_codebook_files_round_trip(cb, data):
     assert parse_codebook(format_codebook(cb)) == cb
     assert parse_codebook(data.draw(split_header(format_codebook(cb)))) == cb
+
+
+@PROPERTY
+@given(st.integers(1, 60), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_codebook_rows_and_unknown_block_text_match_count_vector_keys(k, m, n, data):
+    few = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=3))  # so colors repeat
+    color = st.one_of(st.sampled_from(few), st.integers(1, k))
+    blocks = st.lists(color, min_size=m * n, max_size=m * n).map(lambda c: tuple(sorted(c)))
+    tags = st.tuples(st.integers(0, 900), st.integers(0, 900))
+    table = data.draw(st.dictionaries(blocks, tags, min_size=1, max_size=12))
+    counts = {key: Multiset.of(key, k).counts for key in table}
+    cb = Codebook(m, n, k, "plain", {counts[key]: tag for key, tag in table.items()})
+    rows = "".join(  # ascending count vectors, each written as Multiset.key() writes it
+        "{},{},{}\n".format(Multiset.of(key, k).key(), *table[key])
+        for key in sorted(table, key=counts.get)
+    )
+    assert format_codebook(cb) == f"# m={m} n={n} k={k} mode=plain\nkey,x0,y0\n" + rows
+    for key in data.draw(st.lists(blocks, max_size=5)):
+        if key in table:
+            assert decode_colors(cb, key) == table[key]
+        else:
+            with pytest.raises(UnknownBlockError) as info:
+                decode_colors(cb, key)
+            assert str(info.value) == f"multiset {Multiset.of(key, k).key()} is not a code symbol"
 
 
 # Small ints, and ints beyond 64 bits of either sign.

@@ -54,6 +54,12 @@ class TestConfig:
         assert config.cells_per_side == 6
         assert config.trajectory == "walk" and config.p_move == 0.8
 
+    def test_config_comments_and_blank_lines_are_skipped(self):
+        # header-like tokens in a comment are not read as a mode or a number
+        text = "cells=6\nm=2\nslots=100\nbits=8\nseed=5\ntraj=walk:0.8\n"
+        noisy = "# mode=fast k=x\n\n  \n" + text.replace("\n", "\n  # mode=fast k=x\n\n", 2)
+        assert parse_config(noisy) == parse_config(text)
+
     def test_config_file_missing_key(self):
         with pytest.raises(InputError, match="seed"):
             parse_config("cells=6\nm=2\nslots=10\nbits=8\n")
