@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _MAX_COLORS = 48  # the default palette budget of compose_for_m and mcgc compose
+# The most symbols the base words and stages of one composition may hold
+# together: a fold's words sum to about its final length times its stages.
+_MAX_BUILD = 2**23
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,8 @@ def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) ->
     the factors need, and its spare colors double up to max_colors until
     some fold admits a valid plan at every stage and reaches min_length.
     The pick is the fewest colors, then the shortest output, then the
-    smaller palettes in order.  A pick longer than construct.MAX_LENGTH
+    smaller palettes in order.  A pick longer than construct.MAX_LENGTH, or
+    whose base words and stages hold more than _MAX_BUILD symbols together,
     raises ComposeError before anything is built.
     """
     if min_length < 1:
@@ -210,6 +214,11 @@ def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) ->
     what = f"the window-{m} word picked for length {min_length}"
     _require_length(pick[1], what, ComposeError)
     ks, plans = walked[pick]
+    work = sum(map(cyclic_length, parts, ks)) + sum(plan.output_length for plan in plans)
+    if work > _MAX_BUILD:
+        raise ComposeError(
+            f"{what} takes {work} symbols to build, more than the limit of {_MAX_BUILD}"
+        )
     seq = build(parts[0], ks[0])
     for part, k, plan in zip(parts[1:], ks[1:], plans):
         factor = shift_palette(build(part, k), seq.palette_size)

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, count, groupby, product, repeat
 from math import inf
+from operator import add, sub
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .construct import _require_length
@@ -32,10 +33,12 @@ from .sequences import (
     DistinguishabilityReport,
     Multiset,
     _require_palette,
+    _sliding,
     _sorted_colors,
     _starts,
+    _summed_report,
+    _weigher,
     data_lines,
-    keyed_report,
     window_keys,
 )
 
@@ -103,7 +106,7 @@ def flat_pair(a: int, b: int, k2: int) -> int:
     return (a - 1) * k2 + b
 
 
-MAX_CELLS = 2**30  # a product grid with more cells is refused before any row is built
+MAX_CELLS = 2**30  # a product grid or grid file with more cells is refused before it is built
 
 
 def product_grid(s1: ColorSequence, s2: ColorSequence) -> ColorGrid2D:
@@ -112,15 +115,18 @@ def product_grid(s1: ColorSequence, s2: ColorSequence) -> ColorGrid2D:
     Palette size is the product of the axis palettes; the grid is cyclic
     only when both axes are cyclic.  More than MAX_CELLS cells raise InputError.
     """
-    M, N = len(s1), len(s2)
-    if M * N > MAX_CELLS:
-        raise InputError(
-            f"grid of {M} x {N} has {M * N} cells, more than the limit of {MAX_CELLS}"
-        )
+    _require_cells(len(s1), len(s2))
     k2 = s2.palette_size
     rows = {a: tuple(flat_pair(a, b, k2) for b in s2.colors) for a in set(s1.colors)}
     cells = tuple(rows[a] for a in s1.colors)  # equal rows share one tuple
     return ColorGrid2D(cells, s1.palette_size * k2, _product_mode(s1, s2))
+
+
+def _require_cells(M: int, N: int) -> None:
+    if M * N > MAX_CELLS:
+        raise InputError(
+            f"grid of {M} x {N} has {M * N} cells, more than the limit of {MAX_CELLS}"
+        )
 
 
 def _product_mode(s1: ColorSequence, s2: ColorSequence) -> GridMode:
@@ -159,25 +165,54 @@ def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset
     )
 
 
+def _wrapped_rows(g: ColorGrid2D, m: int, n: int) -> Sequence[tuple[int, ...]]:
+    """The grid's rows, in which every (m, n) block is a plain slice: a
+    cyclic grid's rows each gain their first n - 1 cells, and then the first
+    m - 1 rows follow the last."""
+    if g.mode != "cyclic":
+        return g.cells
+    wrap = {row: row + row[: n - 1] for row in set(g.cells)}  # equal rows share one tuple
+    rows = tuple(map(wrap.__getitem__, g.cells))
+    return rows + rows[: m - 1]
+
+
 def _block_keys(g: ColorGrid2D, m: int, n: int) -> Iterator[tuple[int, ...]]:
     """Sorted colors of every block, in ``block_starts`` order.
 
     Each band of m rows, read column by column, is one word in which the
     block at (x0, y0) is the length-m*n window starting at y0*m.
     """
-    cyclic = g.mode == "cyclic"
-    rows = g.cells + g.cells[: m - 1] if cyclic else g.cells
-    for x0 in _starts(g.M, m, cyclic):
+    rows = _wrapped_rows(g, m, n)
+    for x0 in _starts(g.M, m, g.mode == "cyclic"):
         band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
-        yield from window_keys(band, m * n, cyclic, step=m)
+        yield from window_keys(band, m * n, False, step=m)
 
 
 def check_grid_distinguishable(
     g: ColorGrid2D, m: int, n: int
 ) -> DistinguishabilityReport:
-    """Are all block multisets over the coding area pairwise distinct?"""
+    """Are all block multisets over the coding area pairwise distinct?
+
+    Blocks are keyed by the weight sums of their colors, as windows are in
+    ``check_distinguishable``: each band of m rows slides its column sums
+    down from the band above and sums n columns at a time.
+    """
     starts = block_starts(g, m, n)
-    return keyed_report(list(_block_keys(g, m, n)), starts)
+    rows = _wrapped_rows(g, m, n)
+    weight = _weigher(chain.from_iterable(g.cells))
+    weighted = [list(map(weight, row)) for row in rows]
+    column = list(map(sum, zip(*weighted[:m])))
+    sums: list[int] = []
+    for x0 in _starts(g.M, m, g.mode == "cyclic"):
+        if x0:
+            column = list(map(sub, map(add, column, weighted[x0 + m - 1]), weighted[x0 - 1]))
+        sums += _sliding(column, n)
+
+    def key(i: int) -> tuple[int, ...]:
+        x0, y0 = starts[i]
+        return tuple(sorted([c for row in rows[x0 : x0 + m] for c in row[y0 : y0 + n]]))
+
+    return _summed_report(sums, starts, key)
 
 
 class _CountVectors(Mapping):
@@ -381,14 +416,20 @@ def _grid_lines(g: ColorGrid2D) -> Iterator[str]:
 
 
 def parse_grid(text: str) -> ColorGrid2D:
-    """Read a grid file; header M= and N= must match the row and column counts."""
+    """Read a grid file; header M= and N= must match the row and column counts.
+    A header of more than MAX_CELLS cells is refused at its first row, and
+    rows past MAX_CELLS cells as they are read."""
     header: dict = {}
     rows: list[tuple[int, ...]] = []
     for line in data_lines(text, header, ("M", "N", "k"), _GRID_MODES):
+        M, N = header.get("M", 0), header.get("N", 0)
+        if M > 0 and N > 0:
+            _require_cells(M, N)
         try:
             rows.append(tuple(int(tok) for tok in line.split(",")))
         except ValueError as exc:
             raise InputError(f"bad grid row {line!r}") from exc
+        _require_cells(len(rows), len(rows[0]))
     if not rows:
         raise InputError("no grid rows found")
     k = header["k"] if "k" in header else max(max(row) for row in rows)

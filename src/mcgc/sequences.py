@@ -6,10 +6,13 @@ of colors it contains; the sequence is m-distinguishable when all window
 multisets are pairwise distinct, so a window's multiset identifies where the
 window sits.
 
-The checks and the codebooks key each window or block by the sorted tuple of
-its colors (``window_keys``), which costs O(m) per window whatever the palette
-size.  The count vector of ``Multiset`` is the file form only: the '-'-joined
-keys of the codebook file and of error messages.
+The checks key each window or block by the sum of fixed 64-bit weights of
+its colors, slid along the word from prefix sums at constant cost per window;
+equal multisets have equal sums, so only windows whose sums repeat get the
+exact key (``_summed_report``).  That exact key, and the codebooks' key, is
+the sorted tuple of the window's colors (``window_keys``).  The count vector
+of ``Multiset`` is the file form only: the '-'-joined keys of the codebook
+file and of error messages.
 It also owns the coding area's tag points (``_starts``) and the '# key=value'
 header that the sequence, grid and codebook files share (``data_lines``).
 """
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
-from typing import Iterable, Iterator, Literal, Sequence
+from itertools import accumulate, compress, islice, tee
+from operator import ne, sub
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SelfCheckError
 
@@ -75,7 +79,7 @@ class Multiset:
 
     The count vector is the file form: the '-'-joined ``key()`` of codebook
     files and error messages.  Distinguishability checks and codebook keys do
-    not use it; they key windows and blocks by their sorted colors
+    not use it; they key windows and blocks by weight sums and sorted colors
     (``window_keys``), and ``grid2d.decode_colors`` decodes reported colors.
     """
 
@@ -210,8 +214,13 @@ def window_keys(
     """
     starts = _starts(len(colors), m, cyclic)[::step]
     if cyclic:
-        colors = colors + (colors * ((m - 1) // len(colors) + 1))[: m - 1]
+        colors = _wrapped(colors, m)
     return [tuple(sorted(colors[t : t + m])) for t in starts]
+
+
+def _wrapped(colors: Sequence[int], m: int) -> Sequence[int]:
+    """A cyclic word followed by its first m - 1 symbols, wrapping as often as needed."""
+    return colors + (colors * ((m - 1) // len(colors) + 1))[: m - 1]
 
 
 def keyed_report(keys: list, tags: Sequence) -> DistinguishabilityReport:
@@ -234,10 +243,71 @@ def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
     return Multiset.of(wrapped[t : t + m], seq.palette_size)
 
 
+_MASK = 2**64 - 1
+
+
+def _mix(c: int) -> int:
+    """The fixed 64-bit weight of color c: splitmix64 of the color."""
+    z = c * 0x9E3779B97F4A7C15 & _MASK
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def _weigher(colors: Iterable[int]) -> Callable[[int], int]:
+    """Color -> weight for the colors that occur in colors, so the cost
+    follows the distinct colors and not the largest one."""
+    return {c: _mix(c) for c in set(colors)}.__getitem__
+
+
+def _sliding(values: Iterable[int], m: int) -> list[int]:
+    """Sum of every m consecutive values, in start order, from prefix sums
+    (of which tee keeps only the m between the two ends of a window)."""
+    ends, starts = tee(accumulate(values, initial=0))
+    return list(map(sub, islice(ends, m, None), starts))
+
+
+def _summed_report(
+    sums: list[int], tags: Sequence, key: Callable[[int], tuple]
+) -> DistinguishabilityReport:
+    """``keyed_report`` from the weight sums of windows listed in ascending
+    tag order, whatever the weights.
+
+    Equal multisets have equal sums, so a sum that occurs once collides with
+    nothing.  Only the windows of a repeated sum get key(i), the exact key of
+    window i, bucket by bucket in order of the bucket's first window, until a
+    bucket starts after the first window of the best pair found.
+    """
+    n = len(sums)
+    if len(set(sums)) == n:
+        return DistinguishabilityReport(True, None, n)
+    first = dict(zip(reversed(sums), range(n - 1, -1, -1)))  # sum -> its first window
+    heads = list(map(first.__getitem__, sums))
+    buckets: dict[int, list[int]] = {}
+    for i in compress(range(n), map(ne, heads, range(n))):
+        buckets.setdefault(heads[i], [heads[i]]).append(i)
+    best = (n, n)
+    for head in sorted(buckets):
+        if head > best[0]:
+            break
+        seen: dict = {}
+        for i in buckets[head]:
+            j = seen.setdefault(key(i), i)
+            if j != i:
+                best = min(best, (j, i))
+                if j == head:  # no later pair, in this bucket or after it, is smaller
+                    break
+    collision = None if best[0] == n else (tags[best[0]], tags[best[1]])
+    return DistinguishabilityReport(collision is None, collision, n)
+
+
 def check_distinguishable(seq: ColorSequence, m: int) -> DistinguishabilityReport:
-    """Are all window multisets pairwise distinct?"""
+    """Are all window multisets pairwise distinct?  Windows are keyed by the
+    weight sums of their colors, and exactly only where sums repeat."""
     starts = window_starts(seq, m)
-    return keyed_report(window_keys(seq.colors, m, seq.mode == "cyclic"), starts)
+    colors = _wrapped(seq.colors, m) if seq.mode == "cyclic" else seq.colors
+    sums = _sliding(map(_weigher(colors), colors), m)
+    return _summed_report(sums, starts, lambda t: tuple(sorted(colors[t : t + m])))
 
 
 def _require_distinguishable(seq: ColorSequence, m: int, what: str) -> None:

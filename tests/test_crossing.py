@@ -224,6 +224,23 @@ class TestCompose:
             "2505991488000 symbols, more than the limit of 1048576"
         )
 
+    def test_build_work_limit_refused_before_building(self, monkeypatch):
+        # window 9 folds three 9-symbol words in stages of 18 and 27 symbols
+        monkeypatch.setattr(crossing, "_MAX_BUILD", 72)
+        assert len(compose_for_m(9).sequence) == 27  # at the limit
+
+        def unreachable(m, k):
+            raise AssertionError(f"build({m}, {k}) called")
+
+        monkeypatch.setattr(crossing, "_MAX_BUILD", 71)
+        monkeypatch.setattr(crossing, "build", unreachable)
+        with pytest.raises(ComposeError) as info:
+            compose_for_m(9)
+        assert str(info.value) == (
+            "the window-9 word picked for length 1 takes 72 symbols to build, "
+            "more than the limit of 71"
+        )
+
     def test_unreachable_length_fails_fast(self):
         # merged (colors used, length) states keep the failure path small
         code = (

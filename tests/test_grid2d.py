@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -152,6 +153,15 @@ class TestCheckGrid:
     def test_block_larger_than_grid(self):
         with pytest.raises(InputError):
             check_grid_distinguishable(uniform_grid(2), 3, 1)
+
+    def test_cost_follows_the_grid_not_its_largest_color(self):
+        big = 10**12
+        start = time.perf_counter()
+        g = ColorGrid2D(((big, 1), (2, big - 1)), big, "cyclic")
+        assert check_grid_distinguishable(g, 1, 1).ok
+        report = check_grid_distinguishable(g, 2, 1)
+        assert report.collision == ((0, 0), (1, 0))
+        assert time.perf_counter() - start < 0.5
 
     def test_product_iff_both_axes(self, rng):
         hits = {True: 0, False: 0}
@@ -414,6 +424,23 @@ class TestGridFiles:
     def test_grid_header_shape_checked(self, header):
         with pytest.raises(InputError, match="2x2 rows"):
             parse_grid(f"# {header} k=2 mode=plain\n1,2\n2,1\n")
+
+    def test_grid_files_within_the_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(grid2d, "MAX_CELLS", 6)
+        assert parse_grid("# M=2 N=3 k=1\n1,1,1\n1,1,1\n").M == 2  # at the limit
+        assert parse_grid("1,1,1\n1,1,1\n").M == 2
+        past = "more than the limit of 6"
+        # a header past the limit is refused at the first row, before the
+        # checks that read every row
+        with pytest.raises(InputError, match=f"^grid of 7 x 1 has 7 cells, {past}$"):
+            parse_grid("# M=7 N=1\n1\nx\n")
+        with pytest.raises(InputError, match=f"^grid of 3 x 3 has 9 cells, {past}$"):
+            parse_grid("1,1,1\n1,1,1\n1,1,1\n")
+        # the files refused below the limit keep their errors
+        with pytest.raises(InputError, match="^no grid rows found$"):
+            parse_grid("# M=7 N=1\n")
+        with pytest.raises(InputError, match="disagrees with its 2x3 rows"):
+            parse_grid("# M=-7 N=-1\n1,1,1\n1,1,1\n")
 
     def test_grid_header_shape_optional(self):
         assert parse_grid("# k=2\n1,2\n2,1\n").M == 2

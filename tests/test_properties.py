@@ -1,4 +1,5 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
+also with color weights whose sums repeat or collide,
 the axis-backed product codebook against the grid's codebook (also on keys
 of other lengths than a block's), decoding from reported colors against
 decoding a multiset, the count-vector keys a codebook takes and finds
@@ -11,6 +12,7 @@ json.dumps."""
 
 import json
 from dataclasses import asdict, fields
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,6 +25,7 @@ from conftest import (
     naive_max_cyclic,
 )
 
+from mcgc import sequences
 from mcgc.bounds import BoundRecord, GainRecord, _table_chunks, gain_3dp, upper_bound
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
@@ -101,6 +104,32 @@ def test_grid_check_matches_naive_oracle(case):
     g, m, n = case
     report = check_grid_distinguishable(g, m, n)
     assert (report.ok, report.collision) == naive_grid_distinguishable(g, m, n)
+
+
+def _checks_match_oracles(word_case, grid_case):
+    seq, m = word_case
+    report = check_distinguishable(seq, m)
+    assert (report.ok, report.collision) == naive_distinguishable(seq, m)
+    g, bm, bn = grid_case
+    report = check_grid_distinguishable(g, bm, bn)
+    assert (report.ok, report.collision) == naive_grid_distinguishable(g, bm, bn)
+
+
+# Palettes above stay within 16 colors, so a list of 17 weights covers them.
+@PROPERTY
+@given(word_and_window(), grid_and_block())
+def test_checks_match_oracles_when_every_window_sum_repeats(word_case, grid_case):
+    # one weight for every color: every window takes the exact-key path
+    with patch.object(sequences, "_mix", lambda c: 1):
+        _checks_match_oracles(word_case, grid_case)
+
+
+@PROPERTY
+@given(word_and_window(), grid_and_block(), st.lists(st.integers(1, 3), min_size=17, max_size=17))
+def test_checks_match_oracles_when_weight_sums_collide(word_case, grid_case, weights):
+    # sums of unequal multisets collide among the equal ones
+    with patch.object(sequences, "_mix", weights.__getitem__):
+        _checks_match_oracles(word_case, grid_case)
 
 
 # Codes of windows 1 to 3: axes that are distinguishable at their window.

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -145,6 +146,16 @@ class TestCheckDistinguishable:
         s = ColorSequence((1, 2, 2, 1), 2, "linear")
         report = check_distinguishable(s, 1)
         assert report.collision == (0, 3)
+
+    def test_cost_follows_the_word_not_its_largest_color(self):
+        # only the colors that occur get weights: no table up to the largest
+        big = 10**12
+        start = time.perf_counter()
+        report = check_distinguishable(ColorSequence((big, 1, big - 1), big, "cyclic"), 2)
+        assert report.ok and report.window_count == 3
+        report = check_distinguishable(ColorSequence((big, 1, big), big, "cyclic"), 1)
+        assert report.collision == (0, 2)
+        assert time.perf_counter() - start < 0.5
 
     def test_agrees_with_naive_oracle(self, rng):
         for _ in range(120):
