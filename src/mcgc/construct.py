@@ -1,8 +1,8 @@
 """Constructive generators for cyclic m-distinguishable sequences.
 
-m=1 is the bare palette; m=2 walks an Eulerian circuit of the complete graph
-(with a loop per vertex for odd palettes, minus a perfect matching for even
-ones); m=3 grows a (head, tail) pair in one loop, three new colors per step.
+m=1 is the bare palette; m=2 writes in closed form the greedy Eulerian circuit
+of the complete graph (with a loop per vertex for odd palettes, minus a perfect
+matching for even ones); m=3 grows a (head, tail) pair, three colors per step.
 Every generator refuses a word longer than MAX_LENGTH before building it and
 validates its own output against the checker and the length formula.
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle
 
 from .errors import InputError, SelfCheckError, UnsupportedParameterError
-from .eulerian import Multigraph, eulerian_circuit
 from .sequences import ColorSequence, _require_distinguishable, t_cut
 
 __all__ = [
@@ -133,13 +133,31 @@ def _self_check(seq: ColorSequence, m: int) -> None:
     _require_distinguishable(seq, m, f"output failed {m}-distinguishability")
 
 
+def _m2_word(k: int) -> tuple[int, ...]:
+    """build_m2's word on k >= 3 colors; every color first occurs in segment 1."""
+    odd = k % 2
+    segments = (
+        chain(range(a, a + 1 + odd), chain.from_iterable(zip(range(a + 2, k), cycle(alt))), (k,))
+        for a in range(1, k - 1, 2)
+        for alt in [(a + 1 - odd, a + odd)]  # a, a+1, ... for odd k; a+1, a, ... for even k
+    )
+    return tuple(chain(repeat_first_occurrences(next(segments)), chain.from_iterable(segments)))
+
+
 def build_m2(k: int) -> ColorSequence:
     """Cyclic 2-distinguishable sequence on [k].
 
     Odd k: length k(k+1)/2, covering every pair multiset exactly once (an
     Eulerian circuit of the complete graph with one loop per vertex).  Even
     k: length k(k+1)/2 - k/2, an Eulerian circuit of the complete graph
-    minus the canonical matching with every first occurrence doubled.
+    minus the canonical matching with every first occurrence doubled.  The
+    circuit is the one ``eulerian_circuit(g, 1)`` walks (loops first, then
+    the lowest free neighbor), in closed form: for a = 1, 3, ... below k-1,
+    a segment a (a, a+1 for odd k), then v = a+2..k, each v but k followed
+    by the next of the alternation a, a+1, ... (odd k) or a+1, a, ... (even
+    k).  The walk runs segment 1 and closes at 1 from k, then runs the rest
+    from k.  For odd k it takes each loop on the color's first visit, which
+    doubles the first occurrence as for even k.
 
     k=2 is rejected: removing the matching leaves no edges, and exhaustive
     search shows no cyclic 2-distinguishable sequence of length 2 exists on
@@ -150,13 +168,7 @@ def build_m2(k: int) -> ColorSequence:
             f"no 2-distinguishable construction for k={k}; need k >= 3"
         )
     _require_length(cyclic_length(2, k), f"the window-2 word on {k} colors")
-    if k % 2 == 1:
-        g = Multigraph.complete(k, loops=True)
-        seq = ColorSequence(tuple(eulerian_circuit(g, 1)), k, "cyclic")
-    else:
-        g = Multigraph.complete(k, skip_edges=canonical_one_factor(k))
-        circuit = eulerian_circuit(g, 1)
-        seq = ColorSequence(repeat_first_occurrences(circuit), k, "cyclic")
+    seq = ColorSequence(_m2_word(k), k, "cyclic")
     _self_check(seq, 2)
     return seq
 

@@ -50,8 +50,10 @@ def _require_palette(k: int, colors: Sequence[int] = ()) -> None:
     error names the first color that does not."""
     if k < 1:
         raise InputError("palette size must be at least 1")
-    for c in colors:
+    # a long word has few distinct colors, and set() finds them in C
+    for c in set(colors) if len(colors) > 64 else colors:
         if not 1 <= c <= k:
+            c = next(c for c in colors if not 1 <= c <= k)  # the first in the word
             raise InputError(f"color {c} outside palette [1..{k}]")
 
 

@@ -24,6 +24,7 @@ from mcgc.construct import (
 )
 from mcgc.crossing import compose_for_m
 from mcgc.errors import InputError, SelfCheckError, UnsupportedParameterError
+from mcgc.eulerian import Multigraph, eulerian_circuit
 from mcgc.sequences import ColorSequence, check_distinguishable, t_cut, window_multiset
 
 
@@ -91,6 +92,17 @@ class TestBuildM2:
     def test_degenerate_palettes_rejected(self, k):
         with pytest.raises(UnsupportedParameterError):
             build_m2(k)
+
+    @pytest.mark.parametrize("k", [*range(3, 121), 201, 250, 301])
+    def test_closed_form_is_the_greedy_circuit(self, k):
+        # the graph path: loops taken on each color's first visit for odd k,
+        # first occurrences doubled after the walk for even k
+        if k % 2:
+            word = tuple(eulerian_circuit(Multigraph.complete(k, loops=True), 1))
+        else:
+            g = Multigraph.complete(k, skip_edges=canonical_one_factor(k))
+            word = repeat_first_occurrences(eulerian_circuit(g, 1))
+        assert build_m2(k).colors == word
 
 
 class TestBuildM3:
@@ -228,20 +240,20 @@ class TestBaseDispatch:
         assert len(calls) == 3
 
     def test_build_self_check_names_the_collision(self, monkeypatch):
-        # a circuit of the right length whose windows repeat
-        monkeypatch.setattr(construct, "eulerian_circuit", lambda g, start: [1] * 6)
+        # a word of the right length whose windows repeat
+        monkeypatch.setattr(construct, "_m2_word", lambda k: (1,) * 6)
         with pytest.raises(SelfCheckError) as info:
             build_m2(3)
         assert str(info.value) == "output failed 2-distinguishability at windows (0, 1)"
 
     def test_word_beyond_the_length_limit_refused_before_building(self, monkeypatch):
         # build leaves the limit to its generator, which must refuse before
-        # it allocates a word, a graph or a recursion step
+        # it allocates a word or a recursion step
         def unreachable(*args, **kwargs):
             raise AssertionError("a word was started")
 
         monkeypatch.setattr(construct, "ColorSequence", unreachable)
-        monkeypatch.setattr(construct.Multigraph, "complete", unreachable)
+        monkeypatch.setattr(construct, "_m2_word", unreachable)
         monkeypatch.setattr(construct, "_y_word", unreachable)
         with pytest.raises(UnsupportedParameterError) as info:
             build(3, 3006)
@@ -260,7 +272,7 @@ class TestBaseDispatch:
             raise AssertionError("a word was started")
 
         monkeypatch.setattr(construct, "ColorSequence", unreachable)
-        monkeypatch.setattr(construct.Multigraph, "complete", unreachable)
+        monkeypatch.setattr(construct, "_m2_word", unreachable)
         monkeypatch.setattr(construct, "_y_word", unreachable)
         with pytest.raises(UnsupportedParameterError) as info:
             generator(k)

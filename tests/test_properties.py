@@ -1,14 +1,14 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
-also with color weights whose sums repeat or collide,
-the axis-backed product codebook against the grid's codebook (also on keys
-of other lengths than a block's), decoding from reported colors against
-decoding a multiset, the count-vector keys a codebook takes and finds
-against an independent oracle, compose_for_m's pick against the exhaustive
-palette oracle, the exhaustive search against a search over every word,
-format-then-parse round trips of the sequence, grid and codebook files, the
-codebook rows and unknown-block text against count-vector keys, and
-a slot record's and the bound, kmin and gain tables' JSON against
-json.dumps."""
+also with color weights whose sums repeat or collide, the palette rule
+against a color-by-color loop, the axis-backed product codebook against the
+grid's codebook (also on keys of other lengths than a block's), decoding
+from reported colors against decoding a multiset, the count-vector keys a
+codebook takes and finds against an independent oracle, compose_for_m's pick
+against the exhaustive palette oracle, the exhaustive search against a
+search over every word, format-then-parse round trips of the sequence, grid
+and codebook files, the codebook rows and unknown-block text against
+count-vector keys, and a slot record's and the bound, kmin and gain tables'
+JSON against json.dumps."""
 
 import json
 from dataclasses import asdict, fields
@@ -155,6 +155,41 @@ def _outcome(fn, *args):
         return fn(*args)
     except McgcError as exc:
         return type(exc), exc.args
+
+
+def _palette_loop(k, colors):
+    """The palette rule read color by color: the oracle for _require_palette."""
+    if k < 1:
+        raise InputError("palette size must be at least 1")
+    for c in colors:
+        if not 1 <= c <= k:
+            raise InputError(f"color {c} outside palette [1..{k}]")
+
+
+def _palette_words(k):
+    """Words on [k], or with colors one past either end of it, or far off;
+    short ones, and ones of 60-100 colors, around the 64 colors above which
+    the rule reads a word by its set."""
+    hi = max(k, 1)
+    ranges = st.sampled_from([(1, hi), (0, hi), (1, hi + 1), (-3, hi + 3)])
+    sizes = st.sampled_from([(0, 10), (60, 100)])
+    words = st.tuples(ranges, sizes).flatmap(
+        lambda rs: st.lists(st.integers(*rs[0]), min_size=rs[1][0], max_size=rs[1][1]))
+    return st.tuples(st.just(k), words)
+
+
+@PROPERTY
+@given(st.integers(-1, 9).flatmap(_palette_words))
+@example((5, [1] * 70 + [6, 0]))  # long enough for the set, bad near its end
+@example((5, [1] * 70 + [float("nan"), 9]))  # a color no order places
+def test_palette_rule_matches_a_loop_over_the_colors(case):
+    k, colors = case
+    want = _outcome(_palette_loop, k, colors)
+    assert _outcome(sequences._require_palette, k, colors) == want
+    if colors:  # words and multisets raise the rule's errors
+        for make in (ColorSequence, Multiset.of):
+            made = _outcome(make, tuple(colors), k)
+            assert made == want if want else isinstance(made, (ColorSequence, Multiset))
 
 
 @PROPERTY
