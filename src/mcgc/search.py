@@ -10,6 +10,14 @@ Keys are exact integers.  Color c weighs (m+1)**(c-1); no window holds more
 than m of a color, so its weight sum is its count vector read in base m+1.
 Equal sums are equal multisets, and a sum is a difference of prefix sums.  A
 prefix shorter than m keys as its own sum: fewer symbols than any window.
+
+One cut keeps the search small.  For m >= 2, a word of any length n >= m
+that closes ends in some color c, and its last wrapped window is c with the
+first m - 1 symbols.  That end window must differ from every window placed
+before it, and the placed windows only grow along a path.  So once every
+color's end window is placed, no word below the node can close, and its
+subtree is dropped.  The dropped subtrees hold no closing word, so the search
+finds the same words in the same order.  At m = 1 no window wraps.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     Small instances only; the search is exponential.  Windows wrap, so
     lengths below m are legal here (a single wrapped window is trivially
     distinct), which is why a single color is always a witness of length 1.
+    Once the word holds m - 1 symbols, ``ends`` keys each color's end window
+    (the color with those m - 1 symbols) and ``unused`` counts the ones that
+    no placed window uses.  A word below can close only while some are left,
+    so at 0 the search backtracks.
     """
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")
@@ -56,26 +68,34 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     prefix = [0]
     tops = [1]
     seen: set[int] = set()
+    ends: set[int] = set()
+    unused = len(weight) - 1
     best: list[int] = []
     color = 1
     while len(best) < limit and (word or color == 1):  # the root tries color 1 only
         n = len(word) + 1
-        top = tops[-1] if n <= limit else 0
+        top = tops[-1] if n <= limit and unused else 0
         base = prefix[-1] - prefix[n - m] if n >= m else prefix[-1]  # the key, less the new color
         while color <= top and base + weight[color] in seen:
             color += 1
         if color > top:
             color = word.pop() + 1
             last = prefix.pop()
-            seen.remove(last - prefix[n - 1 - m] if n > m else last)
+            key = last - prefix[n - 1 - m] if n > m else last
+            seen.remove(key)
+            unused += key in ends
             tops.pop()
             continue
         word.append(color)
+        key = base + weight[color]
         prefix.append(prefix[-1] + weight[color])
-        seen.add(base + weight[color])
+        seen.add(key)
         tops.append(top + 1 if color == top < k else top)
         color = 1
-        if n > len(best):
+        if n == m - 1:  # no window of m symbols is placed yet: unused counts them all
+            ends = {prefix[-1] + w for w in weight[1:]}
+        unused -= key in ends
+        if n > len(best) and unused:
             # the m - 1 windows that wrap, or all n when n < m; the one from s
             # keys as P(s + m) - P(s), with P(x) = (x // n) * prefix[n] + prefix[x % n]
             starts = range(max(0, n + 1 - m), n)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from vectors import BASE_K3, BASE_K6, CROSS_S, CROSS_T, PROBE_15
+from vectors import BASE_K3, BASE_K6, CERTIFIED_MAX, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
 from mcgc import cli, crossing, grid2d, sim
@@ -133,6 +133,22 @@ class TestCutSearch:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == f"# search m={m} max=1 proven cap=1 ceiling=1"
+
+    @pytest.mark.parametrize(("m", "k"), sorted(CERTIFIED_MAX))
+    def test_search_max_settles_the_counting_frontier(self, m, k):
+        # each ran past 60 s without the end-window cut
+        cap, best, witness = CERTIFIED_MAX[m, k]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcgc.cli", "search-max", "--m", str(m), "--k", str(k), "--cap", str(cap)],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"# k={k} mode=cyclic",
+            f"# search m={m} max={best} proven cap={cap} ceiling={best}",
+            " ".join(witness),
+        ]
 
 
 class TestCrossCompose:

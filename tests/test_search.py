@@ -2,10 +2,13 @@ import hashlib
 
 import pytest
 
+from conftest import naive_distinguishable
+from vectors import CERTIFIED_MAX
+
 from mcgc.bounds import upper_bound
 from mcgc.errors import InputError
 from mcgc.search import brute_force_max_cyclic
-from mcgc.sequences import check_distinguishable
+from mcgc.sequences import ColorSequence, check_distinguishable
 
 
 def test_two_colors_pairs_max_is_one():
@@ -99,6 +102,34 @@ def test_sweep_is_pinned():
     assert len(records) == 205
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "75dd50037032882cfeed7d31be0510fe1e678a5c73dff051cb0b9018423cd8a8"
+
+
+def test_wider_sweep_is_pinned():
+    # every result for m, k in 1..7 with 21 < ceiling <= 36 at caps
+    # 1..ceiling + 1, but (7, 3) and (4, 4) above cap 26, which take seconds;
+    # recorded before words were cut for want of an end window
+    records = []
+    for m in range(1, 8):
+        for k in range(1, 8):
+            ceiling = upper_bound(m, k, cyclic=True)
+            if not 21 < ceiling <= 36 or (m, k) == (7, 3):
+                continue
+            for cap in range(1, ceiling + 2):
+                if (m, k) == (4, 4) and cap > 26:
+                    continue
+                r = brute_force_max_cyclic(m, k, cap)
+                records.append((m, k, cap, r.max_length, r.witness.colors, r.proven, r.ceiling))
+    assert len(records) == 120
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "233337fb155ea80a815c1e87064768abafd5f600d07962f1619ac77544d3e8af"
+
+
+@pytest.mark.parametrize(("m", "k"), sorted(CERTIFIED_MAX))
+def test_certified_witnesses_meet_their_ceilings(m, k):
+    _, best, witness = CERTIFIED_MAX[m, k]
+    word = ColorSequence(tuple(map(int, witness)), k, "cyclic")
+    assert len(word) == best == upper_bound(m, k, cyclic=True)
+    assert naive_distinguishable(word, m) == (True, None)
 
 
 def test_deep_words_need_no_recursion():

@@ -6,6 +6,7 @@ both hold {1,2,4}).  BASE_K3/BASE_K6 are the base words of the window-3
 recursion; X9/Y9/Z9 are the pieces the first recursion step must produce on
 nine colors.  CROSS_S/CROSS_T are the documented interleaving operands whose
 product is a 150-symbol cyclic 5-distinguishable word on ten colors.
+CERTIFIED_MAX holds cells that the exhaustive search settles.
 """
 
 PROBE_15 = "122344511335524"
@@ -27,6 +28,13 @@ CROSS_T = (
     6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 10,
     6, 6, 8, 8, 10, 10, 7, 9, 6, 8, 10, 7, 7, 9, 9,
 )  # 30 symbols, colors 6..10
+
+# Longest cyclic m-distinguishable words on k colors, proven by exhaustive
+# search: (m, k) -> (cap, max length, the smallest canonical witness).
+CERTIFIED_MAX = {
+    (2, 8): (32, 32, "11223142516273344556384758667788"),
+    (3, 6): (56, 54, "111222311422513324413624515162625533344453636464555666"),
+}
 
 SIZES = (50, 200, 1000, 10000)
 
