@@ -11,13 +11,26 @@ than m of a color, so its weight sum is its count vector read in base m+1.
 Equal sums are equal multisets, and a sum is a difference of prefix sums.  A
 prefix shorter than m keys as its own sum: fewer symbols than any window.
 
-One cut keeps the search small.  For m >= 2, a word of any length n >= m
-that closes ends in some color c, and its last wrapped window is c with the
-first m - 1 symbols.  That end window must differ from every window placed
-before it, and the placed windows only grow along a path.  So once every
-color's end window is placed, no word below the node can close, and its
-subtree is dropped.  The dropped subtrees hold no closing word, so the search
-finds the same words in the same order.  At m = 1 no window wraps.
+Two cuts keep the search small.  The end-window cut drops only subtrees
+that hold no closing word.  For m >= 2, a word of any length n >= m that
+closes ends in some color c, and its last wrapped window is c with the first
+m - 1 symbols.  That end window must differ from every window placed before
+it, and the placed windows only grow along a path.  So once every color's
+end window is placed, no word below the node can close, and its subtree is
+dropped.  At m = 1 no window wraps.
+
+The rotation cut drops closing words, but never the witness.  The witness W
+is the smallest canonical closing word of its length (the maximum, or the
+cap); let r0 be the length of its first run, of 1s.  No run of W, read
+cyclically, is longer than r0: were some run longer, W rotated to start at
+that run and relabeled by first occurrence would be a canonical closing word
+of the same length with a 1 at position r0 + 1, where W holds a larger
+color, so it would be smaller than W.  Nor does W end in 1 unless it is all
+1s, since its last run would join its first.  So once a color other than 1
+ends the first run, no run may grow longer than it, and a word that ends in
+1 is not recorded.  The cut search still meets W, and meets no longer
+closing word and no smaller one of W's length, as the full search meets
+none; so every result and witness is the one the full search returns.
 """
 
 from __future__ import annotations
@@ -56,7 +69,10 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     Once the word holds m - 1 symbols, ``ends`` keys each color's end window
     (the color with those m - 1 symbols) and ``unused`` counts the ones that
     no placed window uses.  A word below can close only while some are left,
-    so at 0 the search backtracks.
+    so at 0 the search backtracks.  ``runs`` holds the length of the run
+    each symbol ends (after a 0 for the empty word), and ``head`` the first
+    run's length once a color other than 1 ends it, or the limit before: the
+    last color is not placed again when its run is ``head`` long.
     """
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")
@@ -67,6 +83,8 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     word: list[int] = []
     prefix = [0]
     tops = [1]
+    runs = [0]
+    head = limit
     seen: set[int] = set()
     ends: set[int] = set()
     unused = len(weight) - 1
@@ -76,10 +94,15 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
         n = len(word) + 1
         top = tops[-1] if n <= limit and unused else 0
         base = prefix[-1] - prefix[n - m] if n >= m else prefix[-1]  # the key, less the new color
-        while color <= top and base + weight[color] in seen:
+        prev = word[-1] if word else 0
+        full = prev if runs[-1] == head else 0  # the color whose run may not grow
+        while color <= top and (color == full or base + weight[color] in seen):
             color += 1
         if color > top:
             color = word.pop() + 1
+            runs.pop()
+            if len(word) == head:  # back into the first run
+                head = limit
             last = prefix.pop()
             key = last - prefix[n - 1 - m] if n > m else last
             seen.remove(key)
@@ -87,21 +110,25 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
             tops.pop()
             continue
         word.append(color)
+        runs.append(runs[-1] + 1 if color == prev else 1)
+        if color > 1 and head == limit:
+            head = n - 1
         key = base + weight[color]
         prefix.append(prefix[-1] + weight[color])
         seen.add(key)
         tops.append(top + 1 if color == top < k else top)
-        color = 1
         if n == m - 1:  # no window of m symbols is placed yet: unused counts them all
             ends = {prefix[-1] + w for w in weight[1:]}
         unused -= key in ends
-        if n > len(best) and unused:
+        # a word that ends in 1 joins its last run to the first, unless it is all 1s
+        if n > len(best) and unused and (color > 1 or head == limit):
             # the m - 1 windows that wrap, or all n when n < m; the one from s
             # keys as P(s + m) - P(s), with P(x) = (x // n) * prefix[n] + prefix[x % n]
             starts = range(max(0, n + 1 - m), n)
             wrapped = {(s + m) // n * prefix[n] + prefix[(s + m) % n] - prefix[s] for s in starts}
             if len(wrapped) == len(starts) and seen.isdisjoint(wrapped):
                 best = word[:]
+        color = 1
     return SearchResult(
         max_length=len(best),
         witness=ColorSequence(tuple(best), k, "cyclic"),

@@ -36,7 +36,6 @@ __all__ = [
     "window_starts",
     "window_multiset",
     "window_keys",
-    "keyed_report",
     "check_distinguishable",
     "t_cut",
     "format_sequence",
@@ -225,18 +224,6 @@ def _wrapped(colors: Sequence[int], m: int) -> Sequence[int]:
     return colors + (colors * ((m - 1) // len(colors) + 1))[: m - 1]
 
 
-def keyed_report(keys: list, tags: Sequence) -> DistinguishabilityReport:
-    """Report on window keys listed in ascending tag order; a collision is the
-    smallest (first, repeat) tag pair over all repeated keys."""
-    if len(set(keys)) == len(keys):
-        return DistinguishabilityReport(True, None, len(keys))
-    first: dict = {}
-    for tag, key in zip(tags, keys):
-        first.setdefault(key, tag)
-    best = min((first[key], tag) for tag, key in zip(tags, keys) if first[key] != tag)
-    return DistinguishabilityReport(False, best, len(keys))
-
-
 def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
     """Multiset of the m colors in the window tagged at position t."""
     if t not in window_starts(seq, m) or not isinstance(t, int):  # 1.0 in range(2)
@@ -272,8 +259,9 @@ def _sliding(values: Iterable[int], m: int) -> list[int]:
 def _summed_report(
     sums: list[int], tags: Sequence, key: Callable[[int], tuple]
 ) -> DistinguishabilityReport:
-    """``keyed_report`` from the weight sums of windows listed in ascending
-    tag order, whatever the weights.
+    """Report on the weight sums of windows listed in ascending tag order,
+    whatever the weights; a collision is the smallest (first, repeat) tag
+    pair over all repeated multisets.
 
     Equal multisets have equal sums, so a sum that occurs once collides with
     nothing.  Only the windows of a repeated sum get key(i), the exact key of

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import groupby
 
 import pytest
 
@@ -122,6 +123,48 @@ def test_wider_sweep_is_pinned():
     assert len(records) == 120
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "233337fb155ea80a815c1e87064768abafd5f600d07962f1619ac77544d3e8af"
+
+
+def test_capped_wider_sweep_is_pinned():
+    # the cases that test_wider_sweep_is_pinned skips: (7, 3) at caps 1..37
+    # and (4, 4) at caps 27..32, where a cap limits the witness; recorded
+    # before a word's runs were bounded by its first
+    records = []
+    for m, k, caps in ((7, 3, range(1, 38)), (4, 4, range(27, 33))):
+        for cap in caps:
+            r = brute_force_max_cyclic(m, k, cap)
+            records.append((m, k, cap, r.max_length, r.witness.colors, r.proven, r.ceiling))
+    assert len(records) == 43
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "e008fdeb0096693aa0e04ce92ac702b5b6cc64d619193293570043d2e5d8a7bb"
+
+
+def _relabeled(word):
+    """The word with its colors renamed 1, 2, ... in order of first occurrence."""
+    names = {}
+    return tuple(names.setdefault(c, len(names) + 1) for c in word)
+
+
+def _cyclic_runs(word):
+    """Lengths of the maximal runs of one color, read cyclically."""
+    start = next((i for i in range(len(word)) if word[i] != word[i - 1]), 0)  # a run's start
+    return [len(list(run)) for _, run in groupby(word[start:] + word[:start])]
+
+
+def test_witness_is_its_smallest_rotation_and_its_first_run_is_longest():
+    # the search returns the smallest canonical closing word of its length;
+    # every rotation, relabeled, is one too, so none is smaller, and no run
+    # (read cyclically) outlasts the first
+    for m in range(1, 8):
+        for k in range(1, 8):
+            ceiling = upper_bound(m, k, cyclic=True)
+            if ceiling > 21:
+                continue
+            for cap in range(1, ceiling + 2):
+                w = brute_force_max_cyclic(m, k, cap).witness.colors
+                assert all(w <= _relabeled(w[i:] + w[:i]) for i in range(len(w)))
+                first = next((i for i, c in enumerate(w) if c != w[0]), len(w))
+                assert max(_cyclic_runs(w)) == first, (m, k, cap, w)
 
 
 @pytest.mark.parametrize(("m", "k"), sorted(CERTIFIED_MAX))
