@@ -7,12 +7,13 @@ gain tables truncate to three decimals rather than round (0.4347 prints as
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .construct import cyclic_length, palettes
 from .errors import InputError, UnsupportedParameterError
@@ -63,10 +64,14 @@ def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
         raise InputError("need m >= 1 and k >= 1")
     total = multichoose(k, m)
     if cyclic:
-        if k % m == 0 and _is_prime(m):
-            return total - k // m
-        return total
+        return total - _forced_unused(m, k)
     return total + m - 1
+
+
+def _forced_unused(m: int, k: int) -> int:
+    """How many m-multisets on [k] every cyclic word leaves unused, by
+    parity: k/m when m is a prime dividing k, else none."""
+    return k // m if k % m == 0 and _is_prime(m) else 0
 
 
 @dataclass(frozen=True)
@@ -201,13 +206,22 @@ class GainRecord:
     provenance: ClassVar[str] = "product-code-bound"
 
 
+def _gain_records(shapes: Iterable[tuple[int, int, int, int]]) -> Iterator[GainRecord]:
+    """The record of each (M, N, m, n) in turn, each (size, side) pair
+    searched once.  A failed search is not cached, so the first row that
+    needs a failing pair raises its error, as one search per row would."""
+    palette = functools.cache(min_colors_1d)
+    for M, N, m, n in shapes:
+        k_m = palette(M, m)
+        k_n = palette(N, n)
+        label_bits = math.log2(M) + math.log2(N)
+        # a 1x1 grid needs no label bits either way; call that no gain
+        gain = (math.log2(k_m) + math.log2(k_n)) / label_bits if label_bits else 1.0
+        yield GainRecord(M=M, N=N, m=m, n=n, k_M=k_m, k_N=k_n, gain=gain)
+
+
 def gain_record(M: int, N: int, m: int, n: int) -> GainRecord:
-    k_m = min_colors_1d(M, m)
-    k_n = min_colors_1d(N, n)
-    label_bits = math.log2(M) + math.log2(N)
-    # a 1x1 grid needs no label bits either way; call that no gain
-    gain = (math.log2(k_m) + math.log2(k_n)) / label_bits if label_bits else 1.0
-    return GainRecord(M=M, N=N, m=m, n=n, k_M=k_m, k_N=k_n, gain=gain)
+    return next(_gain_records([(M, N, m, n)]))
 
 
 def coding_gain(M: int, N: int, m: int, n: int) -> float:
@@ -238,9 +252,12 @@ def kmin_table(
 def gain_table(
     sizes: Sequence[int], blocks: Sequence[tuple[int, int]]
 ) -> list[GainRecord]:
-    """Gain records for every (M, N) in sizes x sizes, per block shape."""
+    """Gain records for every (M, N) in sizes x sizes, per block shape.
+
+    Each distinct (size, side) pair is searched once per call; the rows and
+    the first error are those of one gain_record per row."""
     ordered = sorted(set(sizes))
-    return [gain_record(M, N, m, n) for m, n in blocks for M in ordered for N in ordered]
+    return list(_gain_records((M, N, m, n) for m, n in blocks for M in ordered for N in ordered))
 
 
 # Per table: its CSV header, and per row its CSV line and its JSON object.

@@ -11,13 +11,21 @@ than m of a color, so its weight sum is its count vector read in base m+1.
 Equal sums are equal multisets, and a sum is a difference of prefix sums.  A
 prefix shorter than m keys as its own sum: fewer symbols than any window.
 
-Two cuts keep the search small.  The end-window cut drops only subtrees
-that hold no closing word.  For m >= 2, a word of any length n >= m that
-closes ends in some color c, and its last wrapped window is c with the first
-m - 1 symbols.  That end window must differ from every window placed before
-it, and the placed windows only grow along a path.  So once every color's
-end window is placed, no word below the node can close, and its subtree is
-dropped.  At m = 1 no window wraps.
+Three cuts keep the search small.  The end-window cut and the occurrence
+cap drop only subtrees that hold no closing word.  For m >= 2, a word of
+any length n >= m that closes ends in some color c, and its last wrapped
+window is c with the first m - 1 symbols.  That end window must differ from
+every window placed before it, and the placed windows only grow along a
+path.  So once every color's end window is placed, no word below the node
+can close, and its subtree is dropped.  At m = 1 no window wraps.
+
+The occurrence cap: each position of a cyclic word lies in exactly m of its
+windows, so color c's multiplicities over the windows sum to m·occ(c).  In
+a closing word the windows are distinct m-multisets on [k], and over all
+C(k+m-1, m) of them c's multiplicities sum to m·C(k+m-1, m)/k.  So no color
+occurs more than C(k+m-1, m)/k times in a closing word of any length.
+Occurrences only grow along a path, so a color at that count is not placed
+again.
 
 The rotation cut drops closing words, but never the witness.  The witness W
 is the smallest canonical closing word of its length (the maximum, or the
@@ -26,18 +34,21 @@ cyclically, is longer than r0: were some run longer, W rotated to start at
 that run and relabeled by first occurrence would be a canonical closing word
 of the same length with a 1 at position r0 + 1, where W holds a larger
 color, so it would be smaller than W.  Nor does W end in 1 unless it is all
-1s, since its last run would join its first.  So once a color other than 1
-ends the first run, no run may grow longer than it, and a word that ends in
-1 is not recorded.  The cut search still meets W, and meets no longer
-closing word and no smaller one of W's length, as the full search meets
-none; so every result and witness is the one the full search returns.
+1s, since its last run would join its first; and the only all-1s word that
+closes is the single 1, so the search starts from it.  So once a color other
+than 1 ends the first run, no run may grow longer than it, and a word that
+ends in 1 is not recorded.  For the same reason the end-window cut leaves
+out color 1's end window: a subtree where only that one is left holds no
+word the search would record.  The cut search still meets W, and meets no
+longer closing word and no smaller one of W's length, as the full search
+meets none; so every result and witness is the one the full search returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import upper_bound
+from .bounds import _forced_unused, multichoose
 from .errors import InputError
 from .sequences import ColorSequence
 
@@ -66,29 +77,42 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
     Small instances only; the search is exponential.  Windows wrap, so
     lengths below m are legal here (a single wrapped window is trivially
     distinct), which is why a single color is always a witness of length 1.
-    Once the word holds m - 1 symbols, ``ends`` keys each color's end window
-    (the color with those m - 1 symbols) and ``unused`` counts the ones that
-    no placed window uses.  A word below can close only while some are left,
-    so at 0 the search backtracks.  ``runs`` holds the length of the run
-    each symbol ends (after a 0 for the empty word), and ``head`` the first
-    run's length once a color other than 1 ends it, or the limit before: the
-    last color is not placed again when its run is ``head`` long.
+    """
+    return _search(m, k, length_cap)[0]
+
+
+def _search(m: int, k: int, length_cap: int) -> tuple[SearchResult, int]:
+    """brute_force_max_cyclic's result, and how many symbols it placed.
+
+    Once the word holds m - 1 symbols, ``ends`` keys the end window of each
+    color but 1 (the color with those m - 1 symbols) and ``unused`` counts
+    the ones that no placed window uses.  A word below can close only while
+    some are left, so at 0 the search backtracks.  ``runs`` holds the length
+    of the run each symbol ends (after a 0 for the empty word), and ``head``
+    the first run's length once a color other than 1 ends it, or the limit
+    before: the last color is not placed again when its run is ``head``
+    long.  ``occurs`` counts each color's symbols; one that has ``most`` is
+    not placed again.
     """
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")
-    ceiling = upper_bound(m, k, cyclic=True)
+    windows = multichoose(k, m)
+    ceiling = windows - _forced_unused(m, k)
     limit = min(length_cap, ceiling)
+    most = windows // k  # the occurrence cap
     weight = [0] + [(m + 1) ** c for c in range(min(k, limit))]  # colors a canonical word can use
     # per symbol: its prefix sum, and the largest color the next symbol may take
     word: list[int] = []
     prefix = [0]
     tops = [1]
     runs = [0]
+    occurs = [0] * len(weight)
     head = limit
     seen: set[int] = set()
     ends: set[int] = set()
-    unused = len(weight) - 1
-    best: list[int] = []
+    unused = len(weight) - 2  # the end windows of colors 2, 3, ...
+    best = [1]  # the single 1 closes at every m and k
+    placed = 0
     color = 1
     while len(best) < limit and (word or color == 1):  # the root tries color 1 only
         n = len(word) + 1
@@ -99,7 +123,9 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
         while color <= top and (color == full or base + weight[color] in seen):
             color += 1
         if color > top:
-            color = word.pop() + 1
+            color = word.pop()
+            occurs[color] -= 1
+            color += 1
             runs.pop()
             if len(word) == head:  # back into the first run
                 head = limit
@@ -109,7 +135,12 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
             unused += key in ends
             tops.pop()
             continue
+        if occurs[color] == most:  # tested here, not per color tried in the loop above
+            color += 1
+            continue
         word.append(color)
+        occurs[color] += 1
+        placed += 1
         runs.append(runs[-1] + 1 if color == prev else 1)
         if color > 1 and head == limit:
             head = n - 1
@@ -118,10 +149,10 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
         seen.add(key)
         tops.append(top + 1 if color == top < k else top)
         if n == m - 1:  # no window of m symbols is placed yet: unused counts them all
-            ends = {prefix[-1] + w for w in weight[1:]}
+            ends = {prefix[-1] + w for w in weight[2:]}
         unused -= key in ends
-        # a word that ends in 1 joins its last run to the first, unless it is all 1s
-        if n > len(best) and unused and (color > 1 or head == limit):
+        # a closing word longer than 1 does not end in 1
+        if n > len(best) and unused and color > 1:
             # the m - 1 windows that wrap, or all n when n < m; the one from s
             # keys as P(s + m) - P(s), with P(x) = (x // n) * prefix[n] + prefix[x % n]
             starts = range(max(0, n + 1 - m), n)
@@ -129,10 +160,11 @@ def brute_force_max_cyclic(m: int, k: int, length_cap: int) -> SearchResult:
             if len(wrapped) == len(starts) and seen.isdisjoint(wrapped):
                 best = word[:]
         color = 1
-    return SearchResult(
+    result = SearchResult(
         max_length=len(best),
         witness=ColorSequence(tuple(best), k, "cyclic"),
         proven=length_cap >= ceiling,
         cap=length_cap,
         ceiling=ceiling,
     )
+    return result, placed

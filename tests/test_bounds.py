@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -313,6 +314,21 @@ class TestTables:
         assert [(r.M, r.N) for r in records] == [
             (50, 50), (50, 200), (200, 50), (200, 200),
         ]
+
+    def test_gain_table_searches_each_palette_once(self, monkeypatch):
+        calls = Counter()
+        search = bounds.min_colors_1d
+
+        def counted(M, m):
+            calls[M, m] += 1
+            return search(M, m)
+
+        monkeypatch.setattr(bounds, "min_colors_1d", counted)
+        gain_table([200, 50, 1000, 50], [(2, 2), (4, 3), (3, 3), (2, 2)])
+        assert calls == {(M, side): 1 for M in (50, 200, 1000) for side in (2, 3, 4)}
+        calls.clear()
+        gain_record(50, 50, 2, 2)  # the simulator's square field and block
+        assert calls == {(50, 2): 1}
 
 
 def _sha256(lines) -> str:

@@ -134,6 +134,25 @@ class TestCutSearch:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == f"# search m={m} max=1 proven cap=1 ceiling=1"
 
+    def test_search_max_refuses_a_ceiling_too_long_to_print_at_once(self):
+        # the ceiling C(2 * 10**7 - 1, 10**7) has about six million digits, and
+        # computing it ran past 25 s; (8000, 8000) fails as its ceiling prints
+        def search_max(m, k):
+            return subprocess.run(
+                [sys.executable, "-m", "mcgc.cli", "search-max", "--m", m, "--k", k, "--cap", "1"],
+                capture_output=True, text=True, timeout=10,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": str(Path(mcgc.__file__).parents[1]),
+                    "PYTHONINTMAXSTRDIGITS": "4300",  # the interpreter's default
+                },
+            )
+
+        huge, near = search_max("10000000", "10000000"), search_max("8000", "8000")
+        assert (huge.returncode, huge.stdout, huge.stderr) == (1, "", near.stderr)
+        assert near.returncode == 1
+        assert near.stderr.startswith("error: Exceeds the limit (4300 digits) for integer string")
+
     @pytest.mark.parametrize(("m", "k"), sorted(CERTIFIED_MAX))
     def test_search_max_settles_the_counting_frontier(self, m, k):
         # each ran past 60 s without the end-window cut

@@ -5,12 +5,14 @@ grid's codebook (also on keys of other lengths than a block's), decoding
 from reported colors against decoding a multiset, the count-vector keys a
 codebook takes and finds against an independent oracle, compose_for_m's pick
 against the exhaustive palette oracle, the exhaustive search against a
-search over every word, format-then-parse round trips of the sequence, grid
-and codebook files, the codebook rows and unknown-block text against
-count-vector keys, and a slot record's and the bound, kmin and gain tables'
-JSON against json.dumps."""
+search over every word, the gain table against one gain_record per row,
+search-max's early refusal of a ceiling against its exact digits,
+format-then-parse round trips of the sequence, grid and codebook files, the
+codebook rows and unknown-block text against count-vector keys, and a slot
+record's and the bound, kmin and gain tables' JSON against json.dumps."""
 
 import json
+import sys
 from dataclasses import asdict, fields
 from unittest.mock import patch
 
@@ -26,7 +28,16 @@ from conftest import (
 )
 
 from mcgc import sequences
-from mcgc.bounds import BoundRecord, GainRecord, _table_chunks, gain_3dp, upper_bound
+from mcgc.bounds import (
+    BoundRecord,
+    GainRecord,
+    _table_chunks,
+    gain_3dp,
+    gain_record,
+    gain_table,
+    upper_bound,
+)
+from mcgc.cli import _refuse_unprintable_ceiling
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
 from mcgc.errors import ComposeError, InputError, McgcError, UnknownBlockError
@@ -368,6 +379,48 @@ def test_search_matches_exhaustive_oracle(case):
     m, k, cap = case
     result = brute_force_max_cyclic(m, k, cap)
     assert (result.max_length, result.witness.colors) == naive_max_cyclic(m, k, cap)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+@settings(PROPERTY, max_examples=150)
+@given(st.integers(1, 20000), st.integers(1, 20000))
+@example(20000, 20000)  # refused on the window alone
+@example(15000, 15000)  # refused by the estimate
+@example(8000, 8000)  # left to the exact ceiling, which is too long to print
+def test_search_max_refuses_early_only_ceilings_too_long_to_print(m, k):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        _refuse_unprintable_ceiling(m, k, 1)
+    except ValueError as exc:
+        assert str(exc).startswith("Exceeds the limit (4300 digits)")
+        assert upper_bound(m, k, cyclic=True) >= 10**4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _rows_or_refusal(make_rows):
+    try:
+        return make_rows()
+    except McgcError as exc:
+        return type(exc), str(exc)
+
+
+# Sizes below a block side raise InputError, and a size past the palette
+# limit at side 1 raises UnsupportedParameterError.
+@settings(PROPERTY, max_examples=150)
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 50, 200, 10_000_001]), max_size=4),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=3),
+)
+@example([1, 50], [(1, 2)])
+@example([1, 10_000_001], [(1, 1), (2, 2)])
+def test_gain_table_is_one_gain_record_per_row(sizes, blocks):
+    ordered = sorted(set(sizes))
+    rows = [(M, N, m, n) for m, n in blocks for M in ordered for N in ordered]
+    assert _rows_or_refusal(lambda: gain_table(sizes, blocks)) == _rows_or_refusal(
+        lambda: [gain_record(*row) for row in rows]
+    )
 
 
 # Comment words as the commands write them: free words and key=value tokens

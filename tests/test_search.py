@@ -8,7 +8,7 @@ from vectors import CERTIFIED_MAX
 
 from mcgc.bounds import upper_bound
 from mcgc.errors import InputError
-from mcgc.search import brute_force_max_cyclic
+from mcgc.search import _search, brute_force_max_cyclic
 from mcgc.sequences import ColorSequence, check_distinguishable
 
 
@@ -193,3 +193,19 @@ def test_short_words_wrapped_many_times_are_pinned():
     assert len(records) == 74
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "4125b2661e343352de8fccf67e477d0776c8e2bd2c9732a5bf033cd2e94d5656"
+
+
+@pytest.mark.parametrize(("m", "k", "cap", "placed"), [
+    (2, 6, 60, 52),
+    (3, 4, 60, 36),
+    (3, 5, 60, 1864),
+    (4, 3, 60, 233),
+    (5, 3, 60, 1513),
+    (4, 4, 26, 326),
+    (2, 8, 32, 47633),
+    (3, 6, 56, 374313),
+])
+def test_symbols_placed_are_pinned(m, k, cap, placed):
+    # a weaker cut keeps every result and witness but places more symbols;
+    # the six benchmark instances and the two certified cells
+    assert _search(m, k, cap)[1] == placed
