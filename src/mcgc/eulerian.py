@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain, combinations, filterfalse
+from itertools import combinations
 
 from .errors import GraphError, InputError
 
@@ -31,25 +30,19 @@ class Multigraph:
         """The complete graph on [k]; optionally a loop per vertex; edges
         listed in skip_edges (unordered pairs) are left out."""
         g = cls(k)
-        skip = set()  # both orders of each skipped pair of distinct vertices
-        for pair in map(tuple, map(frozenset, skip_edges)):
-            if len(pair) == 2:
-                skip.update((pair, pair[::-1]))
-        edges = filterfalse(skip.__contains__, combinations(range(1, k + 1), 2))
+        skip = set(map(frozenset, skip_edges))
+        for u, v in combinations(range(1, k + 1), 2):
+            if frozenset((u, v)) not in skip:
+                g.add_edge(u, v)
         if loops:
-            edges = chain(edges, zip(range(1, k + 1), range(1, k + 1)))
-        for u, v in edges:
-            g._link(u, v)
+            for v in range(1, k + 1):
+                g.add_edge(v, v)
         return g
 
     def add_edge(self, u: int, v: int) -> int:
         for w in (u, v):
             if not 1 <= w <= self.vertex_count:
                 raise InputError(f"vertex {w} out of range 1..{self.vertex_count}")
-        return self._link(u, v)
-
-    def _link(self, u: int, v: int) -> int:
-        """Add edge (u, v) with no range check; ids rise within each incidence row."""
         edge_id = len(self._edges)
         self._edges.append((u, v))
         self._incidence[u].append((v, edge_id))
@@ -80,37 +73,29 @@ def eulerian_circuit(g: Multigraph, start: int) -> list[int]:
     """
     if g.edge_count == 0:
         raise GraphError("graph has no edges")
-    # each row in walk order, reversed so the next entry pops off its end:
-    # loops first, then by neighbor; edge ids rise within a row, so ties
-    # keep the order the edges were added in
-    adjacency: list[list[tuple[int, int]]] = [[]]
+    # each row in walk order (loops first, then by neighbor, then by edge id),
+    # reversed so that the next edge pops off its end
+    rows: list[list[tuple[int, int]]] = [[]]
     for v in range(1, g.vertex_count + 1):
-        row = sorted(g._incidence[v])
-        lo, hi = bisect_left(row, (v,)), bisect_left(row, (v + 1,))
-        degree = len(row) + hi - lo  # a loop counts twice
-        if degree % 2 == 1:
-            raise GraphError(f"vertex {v} has odd degree {degree}; not Eulerian")
-        row = row[lo:hi] + row[:lo] + row[hi:]
-        row.reverse()
-        adjacency.append(row)
+        if g.degree(v) % 2 == 1:
+            raise GraphError(f"vertex {v} has odd degree {g.degree(v)}; not Eulerian")
+        rows.append(sorted(g._incidence[v], key=lambda e: (e[0] != v, e), reverse=True))
     if g.degree(start) == 0:
         raise GraphError(f"start vertex {start} touches no edges")
 
     used = [False] * g.edge_count
     stack = [start]
     trail: list[int] = []
-    while stack:
-        v = stack[-1]
-        while True:  # follow unused edges until stuck, then back up one vertex
-            row = adjacency[v]
-            while row and used[row[-1][1]]:
-                row.pop()
-            if not row:
-                break
+    while stack:  # take one unused edge from the top vertex, or back up from it
+        row = rows[stack[-1]]
+        while row and used[row[-1][1]]:
+            row.pop()
+        if row:
             v, eid = row.pop()
             used[eid] = True
             stack.append(v)
-        trail.append(stack.pop())
+        else:
+            trail.append(stack.pop())
     if not all(used):
         raise GraphError("edge set is not connected; no single circuit covers it")
     trail.reverse()

@@ -1,9 +1,14 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcgc
 from mcgc import construct, crossing
 from mcgc.errors import PlanError
 from mcgc.grid2d import block_starts
@@ -93,6 +98,18 @@ def naive_compose(m, max_colors, min_length):
     if not feasible:
         return None
     return min(feasible, key=lambda c: c[:3])[2:]
+
+
+def run_child(*args, timeout, **env):
+    """``python -m mcgc.cli *args``, or ``python -c code`` when args are
+    ("-c", code), in a child that imports mcgc from this tree; extra
+    environment variables come as keywords."""
+    argv = args if args[0] == "-c" else ("-m", "mcgc.cli", *args)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1]), **env},
+    )
 
 
 def random_sequence(rng: random.Random, max_len=30, max_k=6, mode="cyclic"):

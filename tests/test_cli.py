@@ -2,14 +2,13 @@ import hashlib
 import inspect
 import io
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import run_child
 from vectors import BASE_K3, BASE_K6, CERTIFIED_MAX, CROSS_S, CROSS_T, PROBE_15
 
 import mcgc
@@ -126,11 +125,7 @@ class TestCutSearch:
         # the prime test of the ceiling runs only when m divides k, and the
         # one-symbol word's wrapped window is keyed without being spelled out
         m = 1000000000000000003
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcgc.cli", "search-max", "--m", str(m), "--k", "1", "--cap", "1"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
-        )
+        proc = run_child("search-max", "--m", str(m), "--k", "1", "--cap", "1", timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == f"# search m={m} max=1 proven cap=1 ceiling=1"
 
@@ -138,14 +133,9 @@ class TestCutSearch:
         # the ceiling C(2 * 10**7 - 1, 10**7) has about six million digits, and
         # computing it ran past 25 s; (8000, 8000) fails as its ceiling prints
         def search_max(m, k):
-            return subprocess.run(
-                [sys.executable, "-m", "mcgc.cli", "search-max", "--m", m, "--k", k, "--cap", "1"],
-                capture_output=True, text=True, timeout=10,
-                env={
-                    **os.environ,
-                    "PYTHONPATH": str(Path(mcgc.__file__).parents[1]),
-                    "PYTHONINTMAXSTRDIGITS": "4300",  # the interpreter's default
-                },
+            return run_child(
+                "search-max", "--m", m, "--k", k, "--cap", "1", timeout=10,
+                PYTHONINTMAXSTRDIGITS="4300",  # the interpreter's default
             )
 
         huge, near = search_max("10000000", "10000000"), search_max("8000", "8000")
@@ -157,10 +147,8 @@ class TestCutSearch:
     def test_search_max_settles_the_counting_frontier(self, m, k):
         # each ran past 60 s without the end-window cut
         cap, best, witness = CERTIFIED_MAX[m, k]
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcgc.cli", "search-max", "--m", str(m), "--k", str(k), "--cap", str(cap)],
-            capture_output=True, text=True, timeout=20,
-            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
+        proc = run_child(
+            "search-max", "--m", str(m), "--k", str(k), "--cap", str(cap), timeout=20
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
@@ -207,11 +195,7 @@ class TestCrossCompose:
         # the color budget starts at the least total the factors need (30)
         # and grows only while no fold is feasible, so a large budget is
         # never walked
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcgc.cli", "compose", "--m", "30", "--max-colors", "90"],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
-        )
+        proc = run_child("compose", "--m", "30", "--max-colors", "90", timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("# k=30 mode=cyclic\n")
         assert "palettes=3,3,3,3,3,3,3,3,3,3" in proc.stdout

@@ -1,14 +1,10 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_child
 from vectors import CROSS_S, CROSS_T
 
-import mcgc
 from mcgc import crossing
 from mcgc.crossing import (
     compose_for_m,
@@ -251,11 +247,7 @@ class TestCompose:
             "except ComposeError as exc:\n"
             "    print(exc)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1])},
-        )
+        proc = run_child("-c", code, timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("no window-30 word from split 3+3+3")
         assert proc.stdout.endswith("within 72 colors\n")

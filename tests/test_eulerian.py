@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from mcgc.errors import GraphError
+from mcgc.errors import GraphError, InputError
 from mcgc.eulerian import Multigraph, eulerian_circuit
 
 
@@ -82,3 +85,55 @@ def test_degree_counts_loops_twice():
     g.add_edge(1, 2)
     assert g.degree(1) == 3
     assert g.degree(2) == 1
+
+
+def _outcome(g: Multigraph, start: int) -> str:
+    try:
+        walked = eulerian_circuit(g, start)
+    except (GraphError, InputError) as exc:
+        walked = str(exc)
+    return f"{g.edges()} {start} {walked}\n"
+
+
+def _random_outcomes(rng: random.Random):
+    """Closed walks added edge by edge in shuffled order, each edge turned at
+    random (loops, parallel edges and ties between edge ids), plus stray edges
+    (odd degrees, out-of-range vertices) and starts anywhere in 0..n+1."""
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        g, added = Multigraph(n), []
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):  # two or more may not meet
+            walk = rng.choices(range(1, n + 1), k=rng.randint(1, 9))
+            pairs = list(zip(walk, walk[1:] + walk[:1]))
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                added.append(g.add_edge(*rng.sample((u, v), 2)))
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            try:
+                added.append(g.add_edge(rng.randint(0, n + 1), rng.randint(0, n + 1)))
+            except InputError as exc:
+                added.append(str(exc))
+        yield f"{added} " + _outcome(g, rng.choice((1, 1, rng.randint(0, n + 1))))
+
+
+def _complete_outcomes():
+    """Complete graphs with and without loops, less a perfect matching given in
+    both orders, and skip pairs that name no edge: loops, single vertices,
+    triples and vertices out of range."""
+    for k in range(1, 31):
+        matching = [(v + 1, v) for v in range(1, k, 2)] if k % 2 == 0 else []
+        skips = [*matching, (k, k), (1,), (1, 2, 3), (0, k + 1)]
+        for loops in (False, True):
+            yield _outcome(Multigraph.complete(k, loops=loops), 1)
+            yield _outcome(Multigraph.complete(k, loops=loops, skip_edges=skips), k)
+
+
+def test_circuits_and_errors_are_pinned():
+    # recorded before the walk was written as one sorted row per vertex and
+    # one edge per step
+    digest = hashlib.sha256()
+    for line in (*_random_outcomes(random.Random(0xE01E)), *_complete_outcomes()):
+        digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "6df24550742ff2ba9e692a1a8147ccc455fd9b889c8b0646c0bd4087c44c32e9"
+    )
