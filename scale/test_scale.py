@@ -184,6 +184,17 @@ def test_simulations_decode_large_fields_and_stream_a_million_slots():
     assert ok(*argv.split(), timeout=120)[1] < 60
 
 
+def test_cells_dropped_from_the_slot_loop_are_decoded_again(tmp_path):
+    # 40,000 cells, past the 2**14 whose decode the slot loop keeps, so
+    # dropped cells are decoded again; the digest is that of the records a
+    # decode on every slot writes.  About 31 MB max RSS.
+    records = tmp_path / "records.ndjson"
+    argv = "simulate --cells 200 --m 2 --slots 300000 --bits 8 --seed 0 --records".split()
+    assert ok(*argv, records, timeout=60)[1] < 40
+    digest = hashlib.sha256(records.read_bytes()).hexdigest()
+    assert digest == "277f634abd5a5f114405a85ad83303046d05e518a00810561dd56de1fd967f93"
+
+
 def test_grid_and_codebook_files_stream_in_flat_memory(tmp_path):
     # 3004-symbol axes, and a 201x201 grid of 400 colors: joined whole,
     # these files peaked at 149 MB and 118.5 MB

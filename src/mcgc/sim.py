@@ -176,7 +176,7 @@ def deploy(config: SimConfig) -> Deployment:
     return Deployment(grid, codebook, axis, side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
     """One time slot: where the object was, what was heard, what decoded."""
 
@@ -289,8 +289,10 @@ def summarize(config: SimConfig, placement: Deployment) -> SimReport:
     )
 
 
-# Cells whose tuples iter_slots keeps for reuse; past this many it drops the
-# least recently used, so a stream over a large field stays flat in memory.
+# Cells whose entry iter_slots keeps: the cell tuple, its sensors tuple, its
+# block's colors, and the cell decoded on the first visit.  Past this many it
+# drops the least recently used, so a stream over a large field stays flat in
+# memory; a dropped cell is decoded again on its next visit.
 _VISITED_CELLS = 2**14
 
 
@@ -299,8 +301,13 @@ def iter_slots(config: SimConfig, placement: Deployment) -> Iterator[SlotRecord]
     the true cell on every slot (idealized detection plus an injective
     codebook leave no slack), else TrackingError.
 
-    The records of one cell share one cell tuple and one sensors tuple,
-    kept for the _VISITED_CELLS most recently visited cells."""
+    A cell's block always reports the same colors, so a cell is decoded once
+    per run, on its first visit, from that slot's shuffled arrival order:
+    a wrong or unknown block raises at the same slot, with the same text, as
+    a decode on every slot would.  The records of one cell share one cell
+    tuple and one sensors tuple.  Tuples and decode are kept for the
+    _VISITED_CELLS most recently visited cells; a cell dropped from them is
+    decoded again on its next visit."""
     rng = random.Random(config.seed)
     m = config.block
     color_bits = _bits(placement.colors)
@@ -308,20 +315,26 @@ def iter_slots(config: SimConfig, placement: Deployment) -> Iterator[SlotRecord]
     offsets = [(i, j) for i in range(m) for j in range(m)]
 
     @lru_cache(maxsize=_VISITED_CELLS)
-    def block(cell: tuple[int, int]) -> tuple:
+    def visit(cell: tuple[int, int]) -> list:
+        """[cell, sensors, colors, decoded]; each slot shuffles a copy of the
+        colors list, and decoded is None until a slot decodes."""
         x0, y0 = cell
-        return cell, tuple([(x0 + i, y0 + j) for i, j in offsets])
+        sensors = tuple([(x0 + i, y0 + j) for i, j in offsets])
+        return [cell, sensors, [cells[x][y] for x, y in sensors], None]
 
     cell: tuple[int, int] | None = None
     for slot in range(config.slots):
-        cell, sensors = block(_next_cell(rng, config, cell))
-        colors = [cells[x][y] for x, y in sensors]
+        entry = visit(_next_cell(rng, config, cell))
+        cell, sensors, block_colors, decoded = entry
+        colors = block_colors.copy()
         rng.shuffle(colors)  # the observer cannot order the arrivals
-        decoded = decode_colors(codebook, colors)
-        if decoded != cell:
-            raise TrackingError(
-                f"slot {slot}: decoded {decoded} but object is at {cell}"
-            )
+        if decoded is None:
+            decoded = decode_colors(codebook, colors)
+            if decoded != cell:
+                raise TrackingError(
+                    f"slot {slot}: decoded {decoded} but object is at {cell}"
+                )
+            entry[3] = decoded
         # decoded equals cell, so the record holds the shared tuple for both
         yield SlotRecord(slot, cell, sensors, tuple(colors), cell, color_bits)
 

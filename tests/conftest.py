@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import os
@@ -110,6 +111,27 @@ def run_child(*args, timeout, **env):
         capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(Path(mcgc.__file__).parents[1]), **env},
     )
+
+
+def patched_placement(config, patch, cell=(0, 0)):
+    """config's deployment over a dict codebook that decodes wrongly.
+
+    patch "non_injective" sends cell's key to the tag point one row below;
+    "unknown" drops cell's key; "small_palette" keeps the keys over the first
+    half of the palette (at least one color)."""
+    placement = mcgc.deploy(config)
+    m, k = config.block, placement.colors
+    table = dict(placement.codebook.entries.table)
+    key = next(key for key, tag in table.items() if tag == cell)
+    if patch == "non_injective":
+        table[key] = (cell[0] + 1, cell[1])
+    elif patch == "unknown":
+        del table[key]
+    elif patch == "small_palette":
+        k = max(1, k // 2)
+        table = {key: tag for key, tag in table.items() if key[-1] <= k}
+    entries = {mcgc.Multiset.of(key, k).counts: tag for key, tag in table.items()}
+    return dataclasses.replace(placement, codebook=mcgc.Codebook(m, m, k, "plain", entries))
 
 
 def random_sequence(rng: random.Random, max_len=30, max_k=6, mode="cyclic"):

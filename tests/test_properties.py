@@ -8,10 +8,14 @@ against the exhaustive palette oracle, the exhaustive search against a
 search over every word, the gain table against one gain_record per row,
 search-max's early refusal of a ceiling against its exact digits,
 format-then-parse round trips of the sequence, grid and codebook files, the
-codebook rows and unknown-block text against count-vector keys, and a slot
-record's and the bound, kmin and gain tables' JSON against json.dumps."""
+codebook rows and unknown-block text against count-vector keys, a slot
+record's and the bound, kmin and gain tables' JSON against json.dumps, and
+the slot loop, which decodes each cell once, against one that decodes every
+slot."""
 
 import json
+import math
+import random
 import sys
 from dataclasses import asdict, fields
 from unittest.mock import patch
@@ -25,9 +29,10 @@ from conftest import (
     naive_distinguishable,
     naive_grid_distinguishable,
     naive_max_cyclic,
+    patched_placement,
 )
 
-from mcgc import sequences
+from mcgc import sequences, sim
 from mcgc.bounds import (
     BoundRecord,
     GainRecord,
@@ -40,7 +45,13 @@ from mcgc.bounds import (
 from mcgc.cli import _refuse_unprintable_ceiling
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
-from mcgc.errors import ComposeError, InputError, McgcError, UnknownBlockError
+from mcgc.errors import (
+    ComposeError,
+    InputError,
+    McgcError,
+    TrackingError,
+    UnknownBlockError,
+)
 from mcgc.grid2d import (
     Codebook,
     ColorGrid2D,
@@ -65,7 +76,7 @@ from mcgc.sequences import (
     format_sequence,
     parse_sequences,
 )
-from mcgc.sim import SlotRecord
+from mcgc.sim import SimConfig, SlotRecord, deploy, iter_slots
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -534,6 +545,60 @@ def test_slot_record_json_matches_json_dumps(record):
     payload = {f.name: getattr(record, f.name) for f in fields(record)}
     want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert record.to_json() == want
+
+
+def _reference_slots(config, placement):
+    """iter_slots as a plain loop that decodes every slot's report."""
+    rng = random.Random(config.seed)
+    m, cells = config.block, placement.grid.cells
+    bits = math.ceil(math.log2(placement.colors)) if placement.colors > 1 else 0
+    cell = None
+    for slot in range(config.slots):
+        cell = sim._next_cell(rng, config, cell)
+        sensors = tuple((cell[0] + i, cell[1] + j) for i in range(m) for j in range(m))
+        colors = [cells[x][y] for x, y in sensors]
+        rng.shuffle(colors)
+        decoded = decode_colors(placement.codebook, colors)
+        if decoded != cell:
+            raise TrackingError(f"slot {slot}: decoded {decoded} but object is at {cell}")
+        yield SlotRecord(slot, cell, sensors, tuple(colors), decoded, bits)
+
+
+def _run_outcome(slots):
+    """Each record's JSON, and the error's type and text if one stopped the run."""
+    lines = []
+    try:
+        for record in slots:
+            lines.append(record.to_json())
+    except McgcError as exc:
+        return lines, (type(exc), str(exc))
+    return lines, None
+
+
+@st.composite
+def tracking_runs(draw):
+    """A small run, an optional codebook patch (see patched_placement) with
+    the cell it patches, and the number of cells the slot loop keeps."""
+    C = draw(st.integers(1, 8))
+    config = SimConfig(
+        C, draw(st.integers(1, min(C, 3))), draw(st.integers(1, 300)), 8,
+        seed=draw(st.integers(0, 2**64)),
+        trajectory=draw(st.sampled_from(("uniform", "walk"))),
+        p_move=draw(st.sampled_from((0.0, 0.3, 1.0))),
+    )
+    how = draw(st.sampled_from(("none", "non_injective", "unknown", "small_palette")))
+    cell = (draw(st.integers(0, C - 1)), draw(st.integers(0, C - 1)))
+    return config, how, cell, draw(st.sampled_from((1, 2, 2**14)))
+
+
+@PROPERTY
+@given(tracking_runs())
+def test_slots_decoding_each_cell_once_match_decoding_every_slot(case):
+    config, how, cell, kept = case
+    placement = deploy(config) if how == "none" else patched_placement(config, how, cell)
+    with patch.object(sim, "_VISITED_CELLS", kept):
+        got = _run_outcome(iter_slots(config, placement))
+    assert got == _run_outcome(_reference_slots(config, placement))
 
 
 TABLE_ROWS = {

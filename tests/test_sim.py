@@ -1,17 +1,23 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
+from conftest import patched_placement
+
 from mcgc import sim
 from mcgc.bounds import min_colors_1d
-from mcgc.errors import ComposeError, InputError, McgcError
-from mcgc.grid2d import block_multiset, block_starts, decode
+from mcgc.errors import ComposeError, InputError, McgcError, TrackingError, UnknownBlockError
+from mcgc.grid2d import block_multiset, block_starts, decode, decode_colors
 from mcgc.sequences import check_distinguishable
 from mcgc.sim import (
     SimConfig,
+    SlotRecord,
     axis_sequence,
     deploy,
     iter_slots,
@@ -256,3 +262,80 @@ class TestRun:
         side = 21
         want = math.log2(min_colors_1d(side, 2)) / math.log2(side)
         assert report.gain_bound == pytest.approx(want)
+
+
+class TestDecodeOncePerCell:
+    # error, slot and text recorded when every slot decoded its report
+    @pytest.mark.parametrize("config, patch, cell, error, slot, text", [
+        (SimConfig(6, 2, 300, 8, seed=5), "non_injective", (0, 3), TrackingError, 196,
+         "slot 196: decoded (1, 3) but object is at (0, 3)"),
+        (SimConfig(6, 2, 300, 8, seed=5, trajectory="walk"), "unknown", (3, 3),
+         UnknownBlockError, 184, "multiset 0-0-0-0-1-1-0-1-1 is not a code symbol"),
+        # the block arrives as 1, 33, 31, ...: the error names the first color
+        # outside the palette in arrival order, not the least
+        (SimConfig(10, 3, 400, 8, seed=14, trajectory="walk"), "small_palette", (0, 0),
+         InputError, 99, "color 33 outside palette [1..18]"),
+    ])
+    def test_a_bad_block_raises_at_its_first_visit(self, config, patch, cell, error, slot, text):
+        records = []
+        with pytest.raises(error) as info:
+            for record in iter_slots(config, patched_placement(config, patch, cell)):
+                records.append(record)
+        assert (type(info.value), str(info.value)) == (error, text)
+        assert records == run(config)[1][:slot]
+        assert len({r.cell for r in records}) < slot  # earlier cells were visited again
+
+    def test_each_cell_is_decoded_once_until_it_is_dropped(self, monkeypatch):
+        calls = []
+
+        def counted(codebook, colors):
+            calls.append(tuple(colors))
+            return decode_colors(codebook, colors)
+
+        monkeypatch.setattr(sim, "decode_colors", counted)
+        config = SimConfig(7, 2, 300, 8, seed=13)
+        records = run(config)[1]
+        first = {}
+        for r in records:
+            first.setdefault(r.cell, r.report)
+        # one decode per cell, of its first visit's arrival order
+        assert calls == list(first.values()) and len(calls) == 49
+        calls.clear()
+        monkeypatch.setattr(sim, "_VISITED_CELLS", 2)
+        assert run(config)[1] == records
+        kept, want = OrderedDict(), []
+        for r in records:
+            if r.cell in kept:
+                kept.move_to_end(r.cell)
+                continue
+            want.append(r.report)
+            kept[r.cell] = None
+            if len(kept) > 2:
+                kept.popitem(last=False)
+        assert calls == want and len(want) > 100
+
+
+class TestSlotRecord:
+    RECORD = SlotRecord(3, (1, 2), ((1, 2), (1, 3), (2, 2), (2, 3)), (5, 4, 7, 8), (1, 2), 4)
+
+    def test_fields_repr_eq_and_hash(self):
+        record = self.RECORD
+        names = [f.name for f in dataclasses.fields(SlotRecord)]
+        assert names == ["slot", "cell", "sensors", "report", "decoded", "bits_per_channel"]
+        assert repr(record) == (
+            "SlotRecord(slot=3, cell=(1, 2), sensors=((1, 2), (1, 3), (2, 2), (2, 3)), "
+            "report=(5, 4, 7, 8), decoded=(1, 2), bits_per_channel=4)"
+        )
+        copy = SlotRecord(*(getattr(record, name) for name in names))
+        assert copy == record and copy is not record
+        assert hash(copy) == hash(record) == hash(dataclasses.astuple(record))
+        assert record != dataclasses.replace(record, slot=4)
+
+    def test_pickle_replace_and_no_dict(self):
+        record = self.RECORD
+        assert pickle.loads(pickle.dumps(record)) == record
+        moved = dataclasses.replace(record, slot=9, bits_per_channel=2)
+        assert (moved.slot, moved.bits_per_channel, moved.report) == (9, 2, record.report)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.slot = 4
