@@ -139,6 +139,7 @@ def test_large_compositions_self_check_and_too_much_build_work_is_refused():
     "search-max --m 20000 --k 1000000 --cap 1",
     "bounds --m 6 --k-range {big}",  # its window count has over 4300 digits
     "bounds --m 6 --k-range {big} --format json",
+    "bounds --m 10000000 --k-range 10000000",  # no formula: refused before its ceiling
 ])
 def test_over_long_inputs_end_in_an_error_line(argv, tmp_path):
     book, grid = tmp_path / "book.csv", tmp_path / "grid.csv"

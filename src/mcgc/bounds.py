@@ -60,12 +60,16 @@ def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
     unused).  Linear mode: window count plus m-1; the cyclic refinement
     rests on wraparound and does not transfer.
     """
-    if m < 1 or k < 1:
-        raise InputError("need m >= 1 and k >= 1")
+    _require_window_palette(m, k)
     total = multichoose(k, m)
     if cyclic:
         return total - _forced_unused(m, k)
     return total + m - 1
+
+
+def _require_window_palette(m: int, k: int) -> None:
+    if m < 1 or k < 1:
+        raise InputError("need m >= 1 and k >= 1")
 
 
 def _forced_unused(m: int, k: int) -> int:
@@ -124,13 +128,14 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
 
 
 def bound_record(m: int, k: int) -> BoundRecord:
-    upper_linear = upper_bound(m, k, cyclic=False)  # refuses m or k below 1
+    _require_window_palette(m, k)  # first: _lower_candidates(0, k) fails in math.comb
     candidates = _lower_candidates(m, k)
-    if not candidates:
+    if not candidates:  # refused before the ceiling, which can run to millions of digits
         raise UnsupportedParameterError(
             f"no finite lower-bound formula covers m={m}, k={k}; "
             "known results there are asymptotic only"
         )
+    upper_linear = upper_bound(m, k, cyclic=False)
     value, provenance, existence = max(candidates, key=lambda c: (c[0], c[1]))
     if value > upper_linear:
         raise AssertionError(

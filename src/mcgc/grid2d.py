@@ -8,8 +8,9 @@ built from 1D ones.  Its codebook (``product_codebook``) is therefore kept
 as two tables of axis windows rather than one key per block.
 
 Codebooks key a block by its m*n colors, sorted, so ``decode_colors`` looks
-up the colors the sensors report without going through the k-long count
-vector.  The count vector is the codebook file's form only.
+up the colors the sensors report, and ``decode`` the sorted colors that a
+``Multiset`` keeps, without going through the k-long count vector.  The
+count vector is the codebook file's form only.
 """
 
 from __future__ import annotations
@@ -377,10 +378,7 @@ def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
     if key and (key[0] < 1 or key[-1] > k):
         _require_palette(k, colors)  # raises, naming the first such color
     _require_size(cb, len(key))
-    pos = cb.entries.table.get(key)
-    if pos is None:
-        raise UnknownBlockError(f"multiset {_count_key(key, k)} is not a code symbol")
-    return pos
+    return _lookup(cb, key)
 
 
 def _require_size(cb: Codebook, size: int) -> None:
@@ -389,18 +387,27 @@ def _require_size(cb: Codebook, size: int) -> None:
         raise CardinalityError(f"multiset has {size} elements; blocks have {want}")
 
 
+def _lookup(cb: Codebook, key: tuple[int, ...]) -> tuple[int, int]:
+    """Tag point of the block whose m*n sorted colors are key, or UnknownBlockError."""
+    pos = cb.entries.table.get(key)
+    if pos is None:
+        raise UnknownBlockError(f"multiset {_count_key(key, cb.palette_size)} is not a code symbol")
+    return pos
+
+
 def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
-    """``decode_colors`` on the colors of s; a multiset over another palette
-    than the codebook's is malformed (CardinalityError)."""
+    """Tag point of the block with multiset s, looked up by the sorted colors
+    that s keeps.  The errors are ``decode_colors``'s on those colors, after
+    one of its own: a multiset over another palette than the codebook's is
+    malformed (CardinalityError).  A count other than m*n is refused before
+    the colors of a multiset made from counts are expanded."""
     if s.palette_size != cb.palette_size:
         raise CardinalityError(
             f"multiset palette {s.palette_size} differs from codebook "
             f"palette {cb.palette_size}"
         )
-    colors = _sorted_colors(s.counts, cb.palette_size, cb.block_m * cb.block_n)
-    if colors is None:
-        _require_size(cb, s.cardinality)
-    return decode_colors(cb, colors)
+    _require_size(cb, s.cardinality)
+    return _lookup(cb, s._colors)
 
 
 def format_grid(g: ColorGrid2D) -> str:

@@ -20,7 +20,7 @@ header that the sequence, grid and codebook files share (``data_lines``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, compress, islice, tee
 from operator import ne, sub
 from typing import Callable, Iterable, Iterator, Literal, Sequence
@@ -81,7 +81,10 @@ class Multiset:
     The count vector is the file form: the '-'-joined ``key()`` of codebook
     files and error messages.  Distinguishability checks and codebook keys do
     not use it; they key windows and blocks by weight sums and sorted colors
-    (``window_keys``), and ``grid2d.decode_colors`` decodes reported colors.
+    (``window_keys``).  A multiset keeps its sorted colors, which
+    ``grid2d.decode`` reads: ``of`` sorts the colors it is given, and one
+    made from counts expands them on first use.  They are not a field, so
+    equality, hash, repr and pickles are those of the count vector.
     """
 
     counts: tuple[int, ...]
@@ -102,7 +105,9 @@ class Multiset:
         # Counts of a non-empty palette are valid by construction, so the
         # scan in __post_init__ is skipped: it would cost more than the count.
         ms = object.__new__(cls)
-        object.__setattr__(ms, "counts", tuple(counts))
+        vars(ms).update(
+            counts=tuple(counts), cardinality=len(colors), _colors=tuple(sorted(colors))
+        )
         return ms
 
     @classmethod
@@ -112,18 +117,25 @@ class Multiset:
         except ValueError as exc:
             raise InputError(f"malformed multiset key {key!r}") from exc
 
+    def __getstate__(self) -> dict:
+        return {"counts": self.counts}  # the kept colors are made again on use
+
     @property
     def palette_size(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         return sum(self.counts)
 
+    @cached_property
+    def _colors(self) -> tuple[int, ...]:
+        """The colors with multiplicity, ascending (``_sorted_colors``)."""
+        return _sorted_colors(self.counts, self.palette_size, self.cardinality)
+
     def elements(self) -> list[int]:
-        """The colors with multiplicity, ascending: the key a codebook has for
-        them, expanded from the colors present (``_sorted_colors``)."""
-        return list(_sorted_colors(self.counts, self.palette_size, self.cardinality))
+        """The colors with multiplicity, ascending: the key a codebook has for them."""
+        return list(self._colors)
 
     def key(self) -> str:
         return "-".join(str(c) for c in self.counts)

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -234,6 +235,18 @@ class TestTables:
     def test_unsupported_bounds_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--m", "5", "--k-range", "3..4")
         assert code == 1 and "error" in err
+
+    def test_bounds_without_a_finite_formula_end_before_the_ceiling(self, capsys):
+        # no row uses the ceiling C(2*10**7, 10**7); computing it first took
+        # over 20 s before this error
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--m", "10000000", "--k-range", "10000000")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: no finite lower-bound formula covers m=10000000, k=10000000; "
+            "known results there are asymptotic only\n"
+        )
 
     @pytest.mark.parametrize("argv, header", [
         (["bounds", "--m", "2", "--k-range", ","], "m,k,lower,upper,tight,"),

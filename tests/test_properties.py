@@ -2,8 +2,10 @@
 also with color weights whose sums repeat or collide, the palette rule
 against a color-by-color loop, the axis-backed product codebook against the
 grid's codebook (also on keys of other lengths than a block's), decoding
-from reported colors against decoding a multiset, the count-vector keys a
-codebook takes and finds against an independent oracle, compose_for_m's pick
+from reported colors against decoding a multiset, decoding a multiset
+however it was made (from colors, counts or key, copied or pickled) against
+its count vector, the count-vector keys a codebook takes and finds against
+an independent oracle, compose_for_m's pick
 against the exhaustive palette oracle, the exhaustive search against a
 search over every word, the gain table against one gain_record per row,
 search-max's early refusal of a ceiling against its exact digits,
@@ -13,8 +15,10 @@ record's and the bound, kmin and gain tables' JSON against json.dumps, and
 the slot loop, which decodes each cell once, against one that decodes every
 slot."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 from dataclasses import asdict, fields
@@ -46,6 +50,7 @@ from mcgc.cli import _refuse_unprintable_ceiling
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
 from mcgc.errors import (
+    CardinalityError,
     ComposeError,
     InputError,
     McgcError,
@@ -265,6 +270,62 @@ def test_decode_colors_matches_decode(s1, s2, m, n, data):
         assert counts == sorted(counts) and len(counts) == cb.size
         for colors in queries:
             assert _outcome(decode_colors, cb, colors) == _outcome(_decode_multiset, cb, colors)
+
+
+def _decode_oracle(cb, counts):
+    """decode's outcome read from a count vector alone, looked up through
+    the codebook's count-vector view."""
+    if len(counts) != cb.palette_size:
+        return CardinalityError, (
+            f"multiset palette {len(counts)} differs from codebook palette {cb.palette_size}",)
+    size, want = sum(counts), cb.block_m * cb.block_n
+    if size != want:
+        return CardinalityError, (f"multiset has {size} elements; blocks have {want}",)
+    if counts not in cb.entries:
+        return UnknownBlockError, (f"multiset {'-'.join(map(str, counts))} is not a code symbol",)
+    return cb.entries[counts]
+
+
+def _remade(forms):
+    """Each multiset copied, and sent through a pickle."""
+    return [copy.copy(ms) for ms in forms] + [pickle.loads(pickle.dumps(ms)) for ms in forms]
+
+
+@PROPERTY
+@given(axes(), axes(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_decode_reads_the_multiset_however_it_was_made(s1, s2, m, n, data):
+    g = product_grid(s1, s2)
+    books = [_outcome(build_codebook, g, m, n), _outcome(product_codebook, s1, s2, m, n)]
+    books = [cb for cb in books if isinstance(cb, Codebook)]
+    books += [parse_codebook(format_codebook(cb)) for cb in books]
+    k, size = g.palette_size, m * n
+    # colors on this palette or one next to it, of the block's size or one
+    # off; or a block of the grid, as it is or with one color drawn anew
+    palettes = st.sampled_from(list(dict.fromkeys((k, k + 1, max(1, k - 1)))))
+    sizes = st.sampled_from(list(dict.fromkeys((size, size + 1, size - 1))))
+    queries = st.tuples(palettes, sizes).flatmap(lambda ps: st.tuples(
+        st.just(ps[0]), st.lists(st.integers(1, ps[0]), min_size=ps[1], max_size=ps[1])))
+    if books:
+        blocks = st.sampled_from(block_starts(g, m, n)).map(lambda tag: [
+            g.color((tag[0] + i) % g.M, (tag[1] + j) % g.N) for i in range(m) for j in range(n)])
+        redrawn = st.tuples(blocks, st.integers(0, size - 1), st.integers(1, k)).map(
+            lambda b: b[0][: b[1]] + [b[2]] + b[0][b[1] + 1 :])
+        queries |= st.tuples(st.just(k), blocks | redrawn)
+    palette, colors = data.draw(queries)
+    colors = data.draw(st.permutations(colors))
+    made = Multiset.of(colors, palette)
+    forms = [made, Multiset(made.counts), Multiset.from_key(made.key())]
+    forms += _remade(forms)
+    for cb in books:  # the first book decodes multisets that have kept nothing yet
+        want = _decode_oracle(cb, made.counts)
+        assert all(_outcome(decode, cb, ms) == want for ms in forms)
+        # copies of multisets that have been decoded, and their pickles
+        assert all(_outcome(decode, cb, ms) == want for ms in _remade(forms))
+    for ms in forms:
+        assert ms == made and hash(ms) == hash(made) and repr(ms) == repr(made)
+        assert asdict(ms) == {"counts": made.counts} and len(fields(ms)) == 1
+        assert ms.elements() == sorted(colors) and ms.cardinality == len(colors)
+        assert pickle.dumps(ms) == pickle.dumps(Multiset(made.counts))  # kept colors stay out
 
 
 def _count_vector_ok(v, k, size):

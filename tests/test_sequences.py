@@ -7,6 +7,7 @@ import pytest
 from conftest import naive_distinguishable, random_sequence
 from vectors import BASE_K3, PROBE_15
 
+from mcgc import sequences
 from mcgc.errors import InputError
 from mcgc.sequences import (
     ColorSequence,
@@ -177,6 +178,47 @@ class TestCheckDistinguishable:
                 assert window_multiset(rotated, t, m) == window_multiset(
                     s, (t + r) % len(s), m
                 )
+
+
+class TestShortcutCounts:
+    """Work the checks skip: a shortcut that does more work keeps every
+    result, so only a count shows that it was dropped."""
+
+    @pytest.mark.parametrize("word, weights, collision, keyed", [
+        # windows 0, 4 and 8 are {1, 1}: the repeat of a bucket's first
+        # window ends the search at window 4
+        ((1, 1, 2, 2, 1, 1, 2, 2, 1, 1), None, (0, 4), [0, 4]),
+        # {1, 4} and {2, 3} weigh 5: windows 0, 2, 3, 4 share a sum and
+        # give the best pair (2, 3), which ends the search before the
+        # bucket of windows 6, 7, 8 ({1, 3}) starts
+        ((1, 4, 2, 3, 2, 3, 3, 1, 3, 1), lambda c: c, (2, 3), [0, 2, 3, 4, 1, 5]),
+    ])
+    def test_exact_keys_built_where_sums_repeat(self, word, weights, collision, keyed,
+                                                monkeypatch):
+        summed_report, calls = sequences._summed_report, []
+
+        def counted(sums, tags, key):
+            return summed_report(sums, tags, lambda i: calls.append(i) or key(i))
+
+        monkeypatch.setattr(sequences, "_summed_report", counted)
+        if weights:
+            monkeypatch.setattr(sequences, "_mix", weights)
+        report = check_distinguishable(ColorSequence(word, 4, "linear"), 2)
+        assert report.collision == collision
+        assert calls == keyed
+
+    def test_a_long_word_checks_each_distinct_color_once(self):
+        compared = []
+
+        class Palette(int):  # c <= k asks k.__ge__(c) first
+            def __ge__(self, c):
+                compared.append(c)
+                return int(self) >= c
+
+        for length, checks in (1, 1), (64, 64), (65, 3), (1000, 3):
+            compared.clear()
+            sequences._require_palette(Palette(5), ([1, 2, 3] * 334)[:length])
+            assert len(compared) == checks
 
 
 class TestTCut:
