@@ -140,6 +140,11 @@ def test_large_compositions_self_check_and_too_much_build_work_is_refused():
     "bounds --m 6 --k-range {big}",  # its window count has over 4300 digits
     "bounds --m 6 --k-range {big} --format json",
     "bounds --m 10000000 --k-range 10000000",  # no formula: refused before its ceiling
+    "bounds --m 5000000 --k-range 10000000",  # decided without C(10**7 - 1, 5 * 10**6 - 1)
+    # numbers too large to index
+    "compose --m 99999999999999999999",
+    "bounds --m 2 --k-range 1..99999999999999999999",
+    "simulate --cells 99999999999999999999 --m 1 --slots 1 --bits 1 --seed 0",
 ])
 def test_over_long_inputs_end_in_an_error_line(argv, tmp_path):
     book, grid = tmp_path / "book.csv", tmp_path / "grid.csv"

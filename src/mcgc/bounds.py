@@ -55,10 +55,9 @@ def _is_prime(n: int) -> bool:
 def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
     """Ceiling on the length of an m-distinguishable sequence on [k].
 
-    Cyclic mode: the window count C(k+m-1, m), less k/m when m is a prime
-    dividing k (a counting parity then forces at least k/m multisets to go
-    unused).  Linear mode: window count plus m-1; the cyclic refinement
-    rests on wraparound and does not transfer.
+    Cyclic mode: the window count C(k+m-1, m), less the multisets that
+    ``_forced_unused`` counts.  Linear mode: window count plus m-1; the
+    cyclic refinement rests on wraparound and does not transfer.
     """
     _require_window_palette(m, k)
     total = multichoose(k, m)
@@ -73,8 +72,8 @@ def _require_window_palette(m: int, k: int) -> None:
 
 
 def _forced_unused(m: int, k: int) -> int:
-    """How many m-multisets on [k] every cyclic word leaves unused, by
-    parity: k/m when m is a prime dividing k, else none."""
+    """How many m-multisets on [k] every cyclic word leaves unused: when m
+    is a prime dividing k a counting parity forces k/m, else none."""
     return k // m if k % m == 0 and _is_prime(m) else 0
 
 
@@ -116,7 +115,7 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
     if m not in _Y0:
         # general window size: only the subset-cycle family, and only under
         # its divisibility condition
-        if k >= m and math.comb(k - 1, m - 1) % m == 0:
+        if k >= m and _divides_binomial(m, k - 1, m - 1):
             out.append((math.comb(k, m) + m - 1, "ucycle-cut", True))
     elif k >= _Y0[m]:
         j = 0
@@ -125,6 +124,35 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
         provenance = "padded-mcycle-cut" if j else "mcycle-cut"
         out.append((multichoose(k - j, m) + (j + 1) * m - 1, provenance, m > 2))
     return out
+
+
+def _divides_binomial(m: int, n: int, r: int) -> bool:
+    """Does m divide C(n, r), for 0 <= r <= n, without computing C(n, r)?
+
+    Kummer's theorem: a prime p divides C(n, r) as often as adding r and
+    n - r in base p carries, and the carry into digit i is
+    n // p**i - r // p**i - (n - r) // p**i.  m is factored by trial
+    division below 2**16; a cofactor left unfactored is tested on C(n, r).
+    """
+
+    def carries(p: int) -> int:
+        total, q = 0, p
+        while q <= n:
+            total += n // q - r // q - (n - r) // q
+            q *= p
+        return total
+
+    p = 2
+    while p * p <= m and p < 2**16:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e and carries(p) < e:
+            return False
+        p += 1 if p == 2 else 2
+    if p * p > m:  # what is left is 1 or a prime
+        return m == 1 or carries(m) > 0
+    return math.comb(n, r) % m == 0
 
 
 def bound_record(m: int, k: int) -> BoundRecord:

@@ -358,7 +358,7 @@ def dispatch(argv: list[str]) -> int:
         chunks, code = args.func(args)
         _write(args.output, chunks)
         return code
-    except (McgcError, OSError, ValueError) as exc:  # ValueError: an int too long to print
+    except (McgcError, OSError, ValueError, OverflowError) as exc:  # int too big to print or index
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

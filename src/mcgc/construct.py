@@ -1,15 +1,9 @@
 """Constructive generators for cyclic m-distinguishable sequences.
 
-m=1 is the bare palette; m=2 writes in closed form the greedy Eulerian circuit
-of the complete graph (with a loop per vertex for odd palettes, minus a perfect
-matching for even ones); m=3 grows a (head, tail) pair, three colors per step.
-Every generator refuses a word longer than MAX_LENGTH before building it and
+m=1 is the bare palette; m=2 is an Eulerian circuit written in closed form
+(``build_m2``); m=3 grows a (head, tail) pair, three colors per step.  Every
+generator refuses a word longer than MAX_LENGTH before building it and
 validates its own output against the checker and the length formula.
-
-One table (``_BASES``) holds, per window size, the palettes it is built for,
-the length of each build and the generator.  ``palettes``, ``cyclic_length``
-and ``build`` read it; compositions, simulator axes and bound tables go
-through these.
 """
 
 from __future__ import annotations
@@ -80,8 +74,10 @@ def canonical_one_factor(k: int) -> list[tuple[int, int]]:
 
 
 # Base words by window: first palette, palette step, cyclic length on k
-# colors, and the generator's name.  build looks the generator up by name
-# when called, so a wrapper set on the module sees every build.
+# colors, and the generator's name.  palettes, cyclic_length and build read
+# it, and compositions, simulator axes and bound tables go through them.
+# build looks the generator up by name when called, so a wrapper set on the
+# module sees every build.
 _BASES = {
     1: (1, 1, lambda k: k, "build_m1"),
     2: (3, 1, lambda k: math.comb(k + 1, 2) - (0 if k % 2 else k // 2), "build_m2"),

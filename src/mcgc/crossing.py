@@ -182,16 +182,15 @@ def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) ->
     window-2 and window-3 constructions reach: one base word for m = 2 or 3,
     otherwise a left fold of interleavings of such words.
 
-    Base sequences keep their native construction lengths (a cyclic
-    sequence cannot generally be truncated and stay distinguishable), so
-    the search varies the palette per factor instead.  One walk folds every
-    palette choice within a color budget; the budget starts at the least
-    the factors need, and its spare colors double up to max_colors until
-    some fold admits a valid plan at every stage and reaches min_length.
-    The pick is the fewest colors, then the shortest output, then the
-    smaller palettes in order.  A pick longer than construct.MAX_LENGTH, or
-    whose base words and stages hold more than _MAX_BUILD symbols together,
-    raises ComposeError before anything is built.
+    Base words keep their native lengths (a cyclic word cannot generally be
+    truncated and stay distinguishable), so the palette varies per factor
+    instead (``_walk``).  The color budget starts at the least the factors
+    need, and its spare colors double up to max_colors until some fold
+    admits a valid plan at every stage and reaches min_length.  The pick is
+    the fewest colors, then the shortest output, then the smaller palettes
+    in order.  A pick longer than construct.MAX_LENGTH, or whose base words
+    and stages hold more than _MAX_BUILD symbols together, raises
+    ComposeError before anything is built.
     """
     if min_length < 1:
         raise InputError("min_length must be at least 1")

@@ -4,13 +4,7 @@ A grid coloring is (m, n)-distinguishable when the multiset of colors in
 each m x n block identifies the block's tag point.  The product of two 1D
 colorings (cells carry the pair of axis colors, flattened to one id)
 inherits distinguishability from its axes, which is how large 2D codes are
-built from 1D ones.  Its codebook (``product_codebook``) is therefore kept
-as two tables of axis windows rather than one key per block.
-
-Codebooks key a block by its m*n colors, sorted, so ``decode_colors`` looks
-up the colors the sensors report, and ``decode`` the sorted colors that a
-``Multiset`` keeps, without going through the k-long count vector.  The
-count vector is the codebook file's form only.
+built from 1D ones; its codebook is read through the axes (``_ProductEntries``).
 """
 
 from __future__ import annotations
@@ -194,9 +188,8 @@ def check_grid_distinguishable(
 ) -> DistinguishabilityReport:
     """Are all block multisets over the coding area pairwise distinct?
 
-    Blocks are keyed by the weight sums of their colors, as windows are in
-    ``check_distinguishable``: each band of m rows slides its column sums
-    down from the band above and sums n columns at a time.
+    Blocks are keyed as windows are (``mcgc.sequences``): each band of m rows
+    slides its column sums down from the band above and sums n at a time.
     """
     starts = block_starts(g, m, n)
     rows = _wrapped_rows(g, m, n)
@@ -217,8 +210,7 @@ def check_grid_distinguishable(
 
 
 class _CountVectors(Mapping):
-    """Count vector -> tag point: the file form of a table keyed by sorted
-    colors, converted per key on access."""
+    """Count vector -> tag point over a table keyed by sorted colors."""
 
     def __init__(self, table: Mapping, k: int, size: int):
         self.table, self._k, self._size = table, k, size
@@ -240,13 +232,11 @@ class _CountVectors(Mapping):
 class Codebook:
     """Injective map from block multisets to their tag points.
 
-    Blocks are keyed by their m*n colors, sorted, which is how the sensors
-    report them: a dict for ``build_codebook`` and ``parse_codebook``, and a
-    read-only mapping over two axis tables for ``product_codebook``.  The
-    count vector is the file form only: ``entries`` maps count vectors to
-    tag points as a view of that table, and a count-vector mapping passed in
-    is converted once.  However made or read, a codebook has block sides and
-    a palette of at least 1 and a grid mode, or raises InputError.
+    ``entries`` maps count vectors (``Multiset``) to tag points as a view of
+    ``entries.table``, keyed by each block's m*n colors, sorted, as the
+    sensors report them; a count-vector mapping passed in is converted once.
+    However made or read, a codebook has block sides and a palette of at
+    least 1 and a grid mode, or raises InputError.
     """
 
     block_m: int
@@ -304,7 +294,8 @@ def _first_repeat(keys: Iterable, tags: Iterable[tuple[int, int]]) -> dict:
 
 class _ProductEntries(Mapping):
     """Sorted colors -> tag point of a product grid's blocks, read through
-    the axis tables.
+    the tables of its row and column windows: M-m+1 and N-n+1 keys (M and N
+    when cyclic) instead of one per block.
 
     A block's colors are the pairs (a, b) of its row window A and column
     window B, so its multiset projects onto A repeated n times and B
@@ -346,14 +337,10 @@ class _ProductEntries(Mapping):
 
 
 def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Codebook:
-    """``build_codebook(product_grid(s1, s2), m, n)`` kept as two axis tables.
-
-    A product block's multiset fixes its row and column windows, so the
-    codebook holds the M-m+1 windows of s1 and the N-n+1 windows of s2
-    (every window when the grid is cyclic) instead of one key per block.  It
-    equals the grid's codebook entry for entry and fails the same way: a
-    collision names the first repeated block in ``block_starts`` order,
-    which lies in the first band when s2 repeats a window.
+    """``build_codebook(product_grid(s1, s2), m, n)`` kept as the windows of
+    its two axes (``_ProductEntries``), entry for entry.  It fails the same
+    way: a collision names the first repeated block in ``block_starts``
+    order, which lies in the first band when s2 repeats a window.
     """
     _require_block(m, n, len(s1), len(s2))
     mode = _product_mode(s1, s2)
@@ -367,11 +354,10 @@ def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Co
 def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
     """Tag point of the block whose sensors reported colors, in any order.
 
-    The sorted colors are the key: one dict probe, or for a product codebook
-    one probe per axis table and a check of the candidate.  The errors are
-    ``decode(cb, Multiset.of(colors, cb.palette_size))``'s, in its order: the
-    first color outside the palette in input order (InputError), a count
-    other than m*n (CardinalityError), no such block (UnknownBlockError).
+    The errors are ``decode(cb, Multiset.of(colors, cb.palette_size))``'s,
+    in its order: the first color outside the palette in input order
+    (InputError), a count other than m*n (CardinalityError), no such block
+    (UnknownBlockError).
     """
     key = tuple(sorted(colors))
     k = cb.palette_size

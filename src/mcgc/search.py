@@ -86,13 +86,10 @@ def _search(m: int, k: int, length_cap: int) -> tuple[SearchResult, int]:
 
     Once the word holds m - 1 symbols, ``ends`` keys the end window of each
     color but 1 (the color with those m - 1 symbols) and ``unused`` counts
-    the ones that no placed window uses.  A word below can close only while
-    some are left, so at 0 the search backtracks.  ``runs`` holds the length
-    of the run each symbol ends (after a 0 for the empty word), and ``head``
-    the first run's length once a color other than 1 ends it, or the limit
-    before: the last color is not placed again when its run is ``head``
-    long.  ``occurs`` counts each color's symbols; one that has ``most`` is
-    not placed again.
+    those that no placed window uses.  ``runs`` holds the length of the run
+    each symbol ends (after a 0 for the empty word), and ``head`` the first
+    run's length once a color other than 1 ends it, or the limit before.
+    ``occurs`` counts each color's symbols, up to the cap ``most``.
     """
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")

@@ -1,26 +1,22 @@
 """Color sequences, windowed multisets, and distinguishability checking.
 
-A color sequence is a word over the palette [k] = {1, ..., k}, read either
-linearly or cyclically.  Every length-m window is summarized by the multiset
-of colors it contains; the sequence is m-distinguishable when all window
-multisets are pairwise distinct, so a window's multiset identifies where the
-window sits.
+A color sequence is a word over the palette [k] = {1, ..., k}, read linearly
+or cyclically.  It is m-distinguishable when the multisets of its length-m
+windows are pairwise distinct, so a window's multiset identifies where it sits.
 
-The checks key each window or block by the sum of fixed 64-bit weights of
-its colors, slid along the word from prefix sums at constant cost per window;
-equal multisets have equal sums, so only windows whose sums repeat get the
-exact key (``_summed_report``).  That exact key, and the codebooks' key, is
-the sorted tuple of the window's colors (``window_keys``).  The count vector
-of ``Multiset`` is the file form only: the '-'-joined keys of the codebook
-file and of error messages.
-It also owns the coding area's tag points (``_starts``) and the '# key=value'
-header that the sequence, grid and codebook files share (``data_lines``).
+The window-key kernel, shared by every check: each window or block is keyed
+by the sum of fixed 64-bit weights of its colors, slid along the word from
+prefix sums at constant cost per window.  Equal multisets have equal sums,
+so only windows whose sums repeat get the exact key (``_summed_report``):
+the sorted tuple of their colors (``window_keys``), which codebooks use too.
+This module also owns the coding area's tag points (``_starts``) and the
+'# key=value' header of the sequence, grid and codebook files (``data_lines``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, compress, islice, tee
 from operator import ne, sub
 from typing import Callable, Iterable, Iterator, Literal, Sequence
@@ -56,35 +52,25 @@ def _require_palette(k: int, colors: Sequence[int] = ()) -> None:
             raise InputError(f"color {c} outside palette [1..{k}]")
 
 
-@cache
-def _indices(k: int) -> tuple[int, ...]:
-    return tuple(range(k))  # made once: compress over a range allocates k ints
-
-
 def _sorted_colors(counts: Sequence[int], k: int, size: int) -> tuple[int, ...] | None:
     """The colors of a count vector, ascending (color i+1 counts[i] times), when
-    it has k entries, none negative, summing to size; otherwise None.  One pass
-    finds the colors present; only they are read before the expansion."""
-    if len(counts) != k:
+    it has k entries, none negative, summing to size; otherwise None."""
+    if len(counts) != k or sum(counts) != size or min(counts) < 0:
         return None
-    present = list(compress(_indices(k), counts))
-    mults = list(map(counts.__getitem__, present))
-    if sum(mults) != size or (mults and min(mults) < 0):
-        return None
-    return tuple([i + 1 for i in present for _ in range(counts[i])])
+    return tuple([c for c, n in enumerate(counts, 1) for _ in range(n)])
 
 
 @dataclass(frozen=True)
 class Multiset:
     """A multiset over [k], stored as its count vector in palette order.
 
-    The count vector is the file form: the '-'-joined ``key()`` of codebook
-    files and error messages.  Distinguishability checks and codebook keys do
-    not use it; they key windows and blocks by weight sums and sorted colors
-    (``window_keys``).  A multiset keeps its sorted colors, which
-    ``grid2d.decode`` reads: ``of`` sorts the colors it is given, and one
-    made from counts expands them on first use.  They are not a field, so
-    equality, hash, repr and pickles are those of the count vector.
+    The count vector is the file form only: the '-'-joined ``key()`` of
+    codebook files and error messages, and the keys of ``Codebook.entries``;
+    checks and codebooks key by weight sums and sorted colors instead.  A
+    multiset keeps its sorted colors, which ``grid2d.decode`` reads: ``of``
+    sorts the colors it is given, and one made from counts expands them on
+    first use.  They are not a field, so equality, hash, repr and pickles
+    are those of the count vector.
     """
 
     counts: tuple[int, ...]
@@ -273,12 +259,9 @@ def _summed_report(
 ) -> DistinguishabilityReport:
     """Report on the weight sums of windows listed in ascending tag order,
     whatever the weights; a collision is the smallest (first, repeat) tag
-    pair over all repeated multisets.
-
-    Equal multisets have equal sums, so a sum that occurs once collides with
-    nothing.  Only the windows of a repeated sum get key(i), the exact key of
-    window i, bucket by bucket in order of the bucket's first window, until a
-    bucket starts after the first window of the best pair found.
+    pair over all repeated multisets.  Only the windows of a repeated sum get
+    key(i), the exact key of window i, bucket by bucket in order of the
+    bucket's first window, until a bucket starts after the best pair's first.
     """
     n = len(sums)
     if len(set(sums)) == n:
@@ -304,8 +287,7 @@ def _summed_report(
 
 
 def check_distinguishable(seq: ColorSequence, m: int) -> DistinguishabilityReport:
-    """Are all window multisets pairwise distinct?  Windows are keyed by the
-    weight sums of their colors, and exactly only where sums repeat."""
+    """Are all window multisets pairwise distinct?"""
     starts = window_starts(seq, m)
     colors = _wrapped(seq.colors, m) if seq.mode == "cyclic" else seq.colors
     sums = _sliding(map(_weigher(colors), colors), m)

@@ -164,11 +164,7 @@ class Deployment:
 
 
 def deploy(config: SimConfig) -> Deployment:
-    """Color the sensor field and build the codebook.
-
-    The field side is C+m-1 so the cells map bijectively onto the coding
-    area, giving exactly C^2 codewords.
-    """
+    """Color the sensor field, of side C+m-1, and build its codebook."""
     side = config.cells_per_side + config.block - 1
     axis = axis_sequence(side, config.block)
     grid = product_grid(axis, axis)
@@ -262,8 +258,7 @@ def _bits(count: int) -> int:
 
 
 def summarize(config: SimConfig, placement: Deployment) -> SimReport:
-    """The report of a run of config over placement.  It needs no slot:
-    every slot decodes to its true cell, or the run raises TrackingError."""
+    """The report of a run of config over placement; it needs no slot."""
     C = config.cells_per_side
     m = config.block
     baseline_bits = _bits(C * C)
@@ -289,10 +284,8 @@ def summarize(config: SimConfig, placement: Deployment) -> SimReport:
     )
 
 
-# Cells whose entry iter_slots keeps: the cell tuple, its sensors tuple, its
-# block's colors, and the cell decoded on the first visit.  Past this many it
-# drops the least recently used, so a stream over a large field stays flat in
-# memory; a dropped cell is decoded again on its next visit.
+# The most recently visited cells whose entry iter_slots keeps, so that a
+# stream over a large field stays flat in memory.
 _VISITED_CELLS = 2**14
 
 

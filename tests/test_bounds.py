@@ -116,6 +116,16 @@ class TestLowerBound:
         assert record.lower_provenance == "ucycle-cut"
         assert record.existence_only
 
+    def test_subset_cycle_divisibility_without_the_binomial(self):
+        for m in range(1, 81):
+            for k in range(m, 401):
+                want = math.comb(k - 1, m - 1) % m == 0
+                assert bounds._divides_binomial(m, k - 1, m - 1) == want, (m, k)
+        # two prime factors past the trial division: left to the binomial
+        m = 65537 * 65539
+        assert bounds._divides_binomial(m, m + 1, 2)
+        assert not bounds._divides_binomial(m, m + 1, 1)
+
     def test_lower_never_exceeds_upper_sweep(self):
         for m in (1, 2, 3, 4, 6):
             for k in range(1, 10_001):

@@ -248,6 +248,16 @@ class TestTables:
             "known results there are asymptotic only\n"
         )
 
+    def test_subset_cycle_rows_are_decided_without_the_binomial(self):
+        # computing C(10**7 - 1, 5 * 10**6 - 1) for its divisibility by the
+        # window ran past 20 s before this error
+        proc = run_child("bounds", "--m", "5000000", "--k-range", "10000000", timeout=2)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: no finite lower-bound formula covers m=5000000, k=10000000; "
+            "known results there are asymptotic only\n"
+        )
+
     @pytest.mark.parametrize("argv, header", [
         (["bounds", "--m", "2", "--k-range", ","], "m,k,lower,upper,tight,"),
         (["kmin", "--m", ",", "--sizes", "10"], "m,M,k\n"),
@@ -630,6 +640,16 @@ class TestErrorPaths:
             code, out, err = run_cli(capsys, *command.split())
         finally:
             sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        "compose --m 99999999999999999999",
+        "bounds --m 2 --k-range 1..99999999999999999999",
+        "simulate --cells 99999999999999999999 --m 1 --slots 1 --bits 1 --seed 0",
+    ], ids=["compose", "bounds", "simulate"])
+    def test_number_too_large_to_index_is_one_line_and_exit_1(self, command, capsys):
+        code, out, err = run_cli(capsys, *command.split())
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
