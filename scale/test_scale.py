@@ -129,6 +129,9 @@ def test_large_compositions_self_check_and_too_much_build_work_is_refused():
         assert re.fullmatch("[0-9]+( [0-9]+)+", out.splitlines()[-1])
     # a 300,000-symbol pick whose 33,333 stages hold 5e9 symbols together
     fails("compose", "--m", 100000, "--max-colors", 400000, timeout=30)
+    # a budget far past any palette the pick needs is never walked
+    out, _ = ok("compose", "--m", 5, "--max-colors", "9" * 20, timeout=10, limit_kb=1500000)
+    assert out == ok("compose", "--m", 5, timeout=10)[0]
 
 
 @pytest.mark.parametrize("argv", [

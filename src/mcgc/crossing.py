@@ -145,12 +145,14 @@ class ComposeResult:
     plans: tuple[CrossProductPlan, ...]
 
 
-def _walk(parts: list[int], menus: list[range], budget: int) -> dict:
-    """Fold the factors left to right within budget colors.  After each
-    factor a state (colors used, folded length) maps to its palettes and
-    plans.  The rest of the fold depends on the state alone, so it keeps
-    only its lexicographically smallest palettes: states are visited in
-    ascending palette order and the first to reach a state stays."""
+def _walk(parts: list[int], budget: int) -> dict:
+    """Fold the factors left to right within budget colors, over each
+    factor's palettes up to budget.  After each factor a state (colors
+    used, folded length) maps to its palettes and plans.  The rest of the
+    fold depends on the state alone, so it keeps only its lexicographically
+    smallest palettes: states are visited in ascending palette order and
+    the first to reach a state stays."""
+    menus = [palettes(p, budget) for p in parts]
     need = sum(menu.start for menu in menus[1:])
     states = {
         (k, cyclic_length(parts[0], k)): ((k,), ())
@@ -195,11 +197,10 @@ def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) ->
     if min_length < 1:
         raise InputError("min_length must be at least 1")
     parts = split_window(m)
-    menus = [palettes(p, max_colors) for p in parts]
-    least = budget = sum(menu.start for menu in menus)
+    least = budget = sum(palettes(p, max_colors).start for p in parts)
     while True:
         budget = min(budget, max_colors)
-        walked = _walk(parts, menus, budget)
+        walked = _walk(parts, budget)
         reached = [state for state in walked if state[1] >= min_length]
         if reached or budget == max_colors:
             break

@@ -13,7 +13,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, count, groupby, product, repeat
 from math import inf
-from operator import add, sub
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .construct import _require_length
@@ -33,6 +32,7 @@ from .sequences import (
     _starts,
     _summed_report,
     _weigher,
+    _wrapped,
     data_lines,
     window_keys,
 )
@@ -154,21 +154,13 @@ def block_multiset(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> Multiset
     if not (inside and isinstance(x0, int) and isinstance(y0, int)):
         area = "the grid" if cyclic else f"the {m}x{n} coding area"
         raise InputError(f"tag point ({x0}, {y0}) outside {area}")
-    rows = [g.cells[(x0 + i) % g.M] for i in range(m)]
-    return Multiset.of(
-        (row[(y0 + j) % g.N] for row in rows for j in range(n)), g.palette_size
-    )
+    return Multiset.of(_block_colors(g, x0, y0, m, n), g.palette_size)
 
 
-def _wrapped_rows(g: ColorGrid2D, m: int, n: int) -> Sequence[tuple[int, ...]]:
-    """The grid's rows, in which every (m, n) block is a plain slice: a
-    cyclic grid's rows each gain their first n - 1 cells, and then the first
-    m - 1 rows follow the last."""
-    if g.mode != "cyclic":
-        return g.cells
-    wrap = {row: row + row[: n - 1] for row in set(g.cells)}  # equal rows share one tuple
-    rows = tuple(map(wrap.__getitem__, g.cells))
-    return rows + rows[: m - 1]
+def _block_colors(g: ColorGrid2D, x0: int, y0: int, m: int, n: int) -> list[int]:
+    """The m*n colors of the block tagged at (x0, y0), row by row, read
+    modulo the grid's sides so that a cyclic grid's blocks wrap."""
+    return [g.cells[(x0 + i) % g.M][(y0 + j) % g.N] for i in range(m) for j in range(n)]
 
 
 def _block_keys(g: ColorGrid2D, m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -177,10 +169,11 @@ def _block_keys(g: ColorGrid2D, m: int, n: int) -> Iterator[tuple[int, ...]]:
     Each band of m rows, read column by column, is one word in which the
     block at (x0, y0) is the length-m*n window starting at y0*m.
     """
-    rows = _wrapped_rows(g, m, n)
-    for x0 in _starts(g.M, m, g.mode == "cyclic"):
+    cyclic = g.mode == "cyclic"
+    rows = _wrapped(g.cells, m) if cyclic else g.cells
+    for x0 in _starts(g.M, m, cyclic):
         band = tuple(c for column in zip(*rows[x0 : x0 + m]) for c in column)
-        yield from window_keys(band, m * n, False, step=m)
+        yield from window_keys(band, m * n, cyclic, step=m)
 
 
 def check_grid_distinguishable(
@@ -188,25 +181,24 @@ def check_grid_distinguishable(
 ) -> DistinguishabilityReport:
     """Are all block multisets over the coding area pairwise distinct?
 
-    Blocks are keyed as windows are (``mcgc.sequences``): each band of m rows
-    slides its column sums down from the band above and sums n at a time.
+    Blocks are keyed as windows are, by the window kernel applied down the
+    columns and then along each band (``mcgc.sequences``).
     """
     starts = block_starts(g, m, n)
-    rows = _wrapped_rows(g, m, n)
+    cyclic = g.mode == "cyclic"
     weight = _weigher(chain.from_iterable(g.cells))
-    weighted = [list(map(weight, row)) for row in rows]
-    column = list(map(sum, zip(*weighted[:m])))
-    sums: list[int] = []
-    for x0 in _starts(g.M, m, g.mode == "cyclic"):
-        if x0:
-            column = list(map(sub, map(add, column, weighted[x0 + m - 1]), weighted[x0 - 1]))
-        sums += _sliding(column, n)
 
-    def key(i: int) -> tuple[int, ...]:
-        x0, y0 = starts[i]
-        return tuple(sorted([c for row in rows[x0 : x0 + m] for c in row[y0 : y0 + n]]))
+    def slide(values: Sequence[int], r: int) -> list[int]:
+        return _sliding(_wrapped(values, r) if cyclic else values, r)
 
-    return _summed_report(sums, starts, key)
+    columns = list(zip(*g.cells))
+    # a product grid has as many distinct columns as its column axis has colors
+    slid = {column: slide(tuple(map(weight, column)), m) for column in set(columns)}
+    bands = zip(*map(slid.__getitem__, columns))
+    sums = list(chain.from_iterable(slide(band, n) for band in bands))
+    return _summed_report(
+        sums, starts, lambda i: tuple(sorted(_block_colors(g, *starts[i], m, n)))
+    )
 
 
 class _CountVectors(Mapping):

@@ -9,8 +9,12 @@ by the sum of fixed 64-bit weights of its colors, slid along the word from
 prefix sums at constant cost per window.  Equal multisets have equal sums,
 so only windows whose sums repeat get the exact key (``_summed_report``):
 the sorted tuple of their colors (``window_keys``), which codebooks use too.
-This module also owns the coding area's tag points (``_starts``) and the
-'# key=value' header of the sequence, grid and codebook files (``data_lines``).
+A cyclic read appends the word's head (``_wrapped``) and every sum is slid
+by ``_sliding``.  An m x n block of a grid is the same kernel twice, as in
+a summed-area table: its sum is the length-n window sum, along a band of m
+rows, of the band's length-m column window sums.  This module also owns the
+coding area's tag points (``_starts``) and the '# key=value' header of the
+sequence, grid and codebook files (``data_lines``).
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
     """Multiset of the m colors in the window tagged at position t."""
     if t not in window_starts(seq, m) or not isinstance(t, int):  # 1.0 in range(2)
         raise InputError(f"window start {t} out of range for mode {seq.mode}")
-    wrapped = seq.colors + seq.colors[: m - 1]  # linear windows end before the tail
+    wrapped = _wrapped(seq.colors, m)  # linear windows end before the tail
     return Multiset.of(wrapped[t : t + m], seq.palette_size)
 
 
@@ -315,7 +319,7 @@ def t_cut(seq: ColorSequence, t: int, m: int) -> ColorSequence:
         raise InputError(f"cut position {t} out of range 0..{len(seq) - 1}")
     _require_window(seq, m)
     rotated = seq.colors[t + 1 :] + seq.colors[: t + 1]
-    return ColorSequence(rotated + rotated[: m - 1], seq.palette_size, "linear")
+    return ColorSequence(_wrapped(rotated, m), seq.palette_size, "linear")
 
 
 def format_sequence(seq: ColorSequence, comments: Iterable[str] = ()) -> str:

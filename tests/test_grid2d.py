@@ -1,11 +1,10 @@
 import hashlib
 import random
-import time
 import tracemalloc
 
 import pytest
 
-from conftest import random_sequence
+from conftest import random_sequence, run_child
 
 from mcgc import construct, grid2d
 from mcgc.bounds import multichoose
@@ -155,13 +154,41 @@ class TestCheckGrid:
             check_grid_distinguishable(uniform_grid(2), 3, 1)
 
     def test_cost_follows_the_grid_not_its_largest_color(self):
-        big = 10**12
-        start = time.perf_counter()
-        g = ColorGrid2D(((big, 1), (2, big - 1)), big, "cyclic")
-        assert check_grid_distinguishable(g, 1, 1).ok
-        report = check_grid_distinguishable(g, 2, 1)
-        assert report.collision == ((0, 0), (1, 0))
-        assert time.perf_counter() - start < 0.5
+        # timed in a child, so a regression fails instead of hanging
+        code = (
+            "import time\n"
+            "from mcgc.grid2d import ColorGrid2D, check_grid_distinguishable\n"
+            "big = 10**12\n"
+            "start = time.perf_counter()\n"
+            "g = ColorGrid2D(((big, 1), (2, big - 1)), big, 'cyclic')\n"
+            "assert check_grid_distinguishable(g, 1, 1).ok\n"
+            "report = check_grid_distinguishable(g, 2, 1)\n"
+            "assert report.collision == ((0, 0), (1, 0))\n"
+            "assert time.perf_counter() - start < 0.5\n"
+        )
+        proc = run_child("-c", code, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("cells, mode, collision", [
+        # blocks (0, 0), (0, 1), (0, 2), (1, 1) and (1, 2) are {1, 1, 2, 2}:
+        # the repeat of the bucket's first block ends the search before
+        # (0, 3) and (1, 3) ({1, 1, 1, 2}) are keyed
+        (((1, 2, 1, 2, 1), (2, 1, 2, 1, 1), (2, 2, 1, 2, 1)), "plain", ((0, 0), (0, 1))),
+        # eight wrapped blocks are {1, 2, 2, 2}, six {2, 2, 2, 2} and two
+        # {1, 1, 2, 2}; only the first pair is keyed
+        (((1, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 2), (2, 2, 2, 2)), "cyclic", ((0, 0), (0, 2))),
+    ], ids=["plain", "cyclic"])
+    def test_exact_keys_built_where_sums_repeat(self, cells, mode, collision, monkeypatch):
+        block_colors, keyed = grid2d._block_colors, []
+
+        def counted(g, x0, y0, m, n):
+            keyed.append((x0, y0))
+            return block_colors(g, x0, y0, m, n)
+
+        monkeypatch.setattr(grid2d, "_block_colors", counted)
+        report = check_grid_distinguishable(ColorGrid2D(cells, 2, mode), 2, 2)
+        assert report.collision == collision
+        assert keyed == list(collision)
 
     def test_product_iff_both_axes(self, rng):
         hits = {True: 0, False: 0}

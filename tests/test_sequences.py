@@ -1,10 +1,9 @@
 import hashlib
 import random
-import time
 
 import pytest
 
-from conftest import naive_distinguishable, random_sequence
+from conftest import naive_distinguishable, random_sequence, run_child
 from vectors import BASE_K3, PROBE_15
 
 from mcgc import sequences
@@ -149,14 +148,21 @@ class TestCheckDistinguishable:
         assert report.collision == (0, 3)
 
     def test_cost_follows_the_word_not_its_largest_color(self):
-        # only the colors that occur get weights: no table up to the largest
-        big = 10**12
-        start = time.perf_counter()
-        report = check_distinguishable(ColorSequence((big, 1, big - 1), big, "cyclic"), 2)
-        assert report.ok and report.window_count == 3
-        report = check_distinguishable(ColorSequence((big, 1, big), big, "cyclic"), 1)
-        assert report.collision == (0, 2)
-        assert time.perf_counter() - start < 0.5
+        # only the colors that occur get weights: no table up to the largest;
+        # timed in a child, so a regression fails instead of hanging
+        code = (
+            "import time\n"
+            "from mcgc.sequences import ColorSequence, check_distinguishable\n"
+            "big = 10**12\n"
+            "start = time.perf_counter()\n"
+            "report = check_distinguishable(ColorSequence((big, 1, big - 1), big, 'cyclic'), 2)\n"
+            "assert report.ok and report.window_count == 3\n"
+            "report = check_distinguishable(ColorSequence((big, 1, big), big, 'cyclic'), 1)\n"
+            "assert report.collision == (0, 2)\n"
+            "assert time.perf_counter() - start < 0.5\n"
+        )
+        proc = run_child("-c", code, timeout=10)
+        assert proc.returncode == 0, proc.stderr
 
     def test_agrees_with_naive_oracle(self, rng):
         for _ in range(120):
