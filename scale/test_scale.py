@@ -127,8 +127,11 @@ def test_large_compositions_self_check_and_too_much_build_work_is_refused():
     for m, colors in (2000, 4000), (3000, 6000):
         out, _ = ok("compose", "--m", m, "--max-colors", colors, timeout=10)
         assert re.fullmatch("[0-9]+( [0-9]+)+", out.splitlines()[-1])
-    # a 300,000-symbol pick whose 33,333 stages hold 5e9 symbols together
-    fails("compose", "--m", 100000, "--max-colors", 400000, timeout=30)
+    # a 300,000-symbol pick whose 33,333 stages hold 5e9 symbols together,
+    # refused before the walk that took 4.9 s
+    fails("compose", "--m", 100000, "--max-colors", 400000, timeout=2)
+    # refused before a list of 10**9 factors is asked for
+    fails("compose", "--m", 3000000000, timeout=2, limit_kb=1500000)
     # a budget far past any palette the pick needs is never walked
     out, _ = ok("compose", "--m", 5, "--max-colors", "9" * 20, timeout=10, limit_kb=1500000)
     assert out == ok("compose", "--m", 5, timeout=10)[0]
@@ -144,6 +147,7 @@ def test_large_compositions_self_check_and_too_much_build_work_is_refused():
     "bounds --m 6 --k-range {big} --format json",
     "bounds --m 10000000 --k-range 10000000",  # no formula: refused before its ceiling
     "bounds --m 5000000 --k-range 10000000",  # decided without C(10**7 - 1, 5 * 10**6 - 1)
+    "bounds --m 1000000 --k-range 2000001",  # covered, refused before C(2000001, 10**6)
     # numbers too large to index
     "compose --m 99999999999999999999",
     "bounds --m 2 --k-range 1..99999999999999999999",

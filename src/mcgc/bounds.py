@@ -10,10 +10,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .construct import cyclic_length, palettes
 from .errors import InputError, UnsupportedParameterError
@@ -95,8 +96,9 @@ class BoundRecord:
 _Y0 = {2: 1, 3: 4, 4: 5, 6: 11}
 
 
-def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
-    """(value, provenance, existence_only) for every family that applies.
+def _families(m: int, k: int) -> list[tuple[str, bool, Callable[[], int]]]:
+    """(provenance, existence_only, value) for every family that applies,
+    each value a function, so that coverage is decided before any value.
 
     Provenance names the mechanism.  For the windows in _Y0, from palette
     _Y0[m] on, a cycle through every m-multiset on [k] is known when
@@ -108,22 +110,27 @@ def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
     a cycle of distinct m-subsets.
     """
     if m == 1:
-        return [(k, "exact", False)]
-    out: list[tuple[int, str, bool]] = []
+        return [("exact", False, lambda: k)]
+    out: list[tuple[str, bool, Callable[[], int]]] = []
     if m in (2, 3) and k in palettes(m, k):
-        out.append((cyclic_length(m, k) + m - 1, "dense-cyclic-cut", False))
+        out.append(("dense-cyclic-cut", False, lambda: cyclic_length(m, k) + m - 1))
     if m not in _Y0:
         # general window size: only the subset-cycle family, and only under
         # its divisibility condition
         if k >= m and _divides_binomial(m, k - 1, m - 1):
-            out.append((math.comb(k, m) + m - 1, "ucycle-cut", True))
+            out.append(("ucycle-cut", True, lambda: math.comb(k, m) + m - 1))
     elif k >= _Y0[m]:
         j = 0
         while math.gcd(k - j, m) != 1:
             j += 1
         provenance = "padded-mcycle-cut" if j else "mcycle-cut"
-        out.append((multichoose(k - j, m) + (j + 1) * m - 1, provenance, m > 2))
+        out.append((provenance, m > 2, lambda: multichoose(k - j, m) + (j + 1) * m - 1))
     return out
+
+
+def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
+    """(value, provenance, existence_only) for every family of _families."""
+    return [(value(), provenance, existence) for provenance, existence, value in _families(m, k)]
 
 
 def _divides_binomial(m: int, n: int, r: int) -> bool:
@@ -155,15 +162,44 @@ def _divides_binomial(m: int, n: int, r: int) -> bool:
     return math.comb(n, r) % m == 0
 
 
+def _refuse_unprintable_ceiling(m: int, k: int) -> None:
+    """Raise the error that printing the cyclic ceiling of (m, k) would
+    raise, when that ceiling is surely too long to print, before anything
+    computes it or a number at least as long.
+
+    The ceiling is at least half of C(n, r) >= (n/r)**r, with n = k + m - 1
+    and r = min(m, k - 1), so it has over r*log10(n/r) - 1 digits.  Below
+    two digits past the limit nothing is refused here, and the exact number
+    is printed or refused when it is printed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    r = min(m, k - 1)
+    if not limit or r < 1:  # the ceiling is 1, or m or k is refused elsewhere
+        return
+    # as n >= 2r, r > 4 * limit alone means over r/4 digits, and keeps a huge r out of floats
+    if r > 4 * limit or r * (math.log10(k + m - 1) - math.log10(r)) > limit + 2:
+        str(10**limit)  # limit + 1 digits: the interpreter's own ValueError
+
+
 def bound_record(m: int, k: int) -> BoundRecord:
-    _require_window_palette(m, k)  # first: _lower_candidates(0, k) fails in math.comb
-    candidates = _lower_candidates(m, k)
-    if not candidates:  # refused before the ceiling, which can run to millions of digits
+    return _bound_record(m, k, printed=False)
+
+
+def _bound_record(m: int, k: int, printed: bool) -> BoundRecord:
+    """bound_record's row; a printed row whose ceiling is surely too long to
+    print ends after the coverage test, before any number is computed.  (A
+    kmin or gain row prints no ceiling, so min_colors_1d asks for none.)"""
+    _require_window_palette(m, k)  # first: _families(0, k) fails in math.comb
+    families = _families(m, k)
+    if not families:  # refused before the ceiling, which can run to millions of digits
         raise UnsupportedParameterError(
             f"no finite lower-bound formula covers m={m}, k={k}; "
             "known results there are asymptotic only"
         )
+    if printed:  # the row's upper is at least the cyclic ceiling
+        _refuse_unprintable_ceiling(m, k)
     upper_linear = upper_bound(m, k, cyclic=False)
+    candidates = [(value(), provenance, existence) for provenance, existence, value in families]
     value, provenance, existence = max(candidates, key=lambda c: (c[0], c[1]))
     if value > upper_linear:
         raise AssertionError(
@@ -268,7 +304,7 @@ def gain_3dp(gain: float) -> float:
 
 
 def bounds_table(m: int, ks: Iterable[int]) -> list[BoundRecord]:
-    return [bound_record(m, k) for k in sorted(set(ks))]
+    return [_bound_record(m, k, printed=True) for k in sorted(set(ks))]
 
 
 def kmin_table(

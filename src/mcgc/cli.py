@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable
 
 from . import __version__
-from .bounds import _table_chunks, bounds_table, gain_table, kmin_table
+from .bounds import _refuse_unprintable_ceiling, _table_chunks, bounds_table, gain_table, kmin_table
 from .construct import build
 from .crossing import _MAX_COLORS, compose_for_m, cross, plan_cross, shift_palette
 from .errors import InputError, McgcError
@@ -127,26 +126,9 @@ def cmd_cut(args) -> tuple[Iterable[str], int]:
     return [format_sequence(t_cut(seq, args.t, args.m))], 0
 
 
-def _refuse_unprintable_ceiling(m: int, k: int, cap: int) -> None:
-    """Raise the error that printing the search's ceiling would raise, when
-    that ceiling is surely too long to print, before anything computes it.
-
-    The ceiling is at least half of C(n, r) >= (n/r)**r, with n = k + m - 1
-    and r = min(m, k - 1), so it has over r*log10(n/r) - 1 digits.  Below
-    two digits past the limit the search runs, and the exact ceiling is
-    printed or refused as before.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    r = min(m, k - 1)
-    if not limit or cap < 1 or r < 1:  # the search refuses, or its ceiling is 1
-        return
-    # as n >= 2r, r > 4 * limit alone means over r/4 digits, and keeps a huge r out of floats
-    if r > 4 * limit or r * (math.log10(k + m - 1) - math.log10(r)) > limit + 2:
-        str(10**limit)  # limit + 1 digits: the interpreter's own ValueError
-
-
 def cmd_search_max(args) -> tuple[Iterable[str], int]:
-    _refuse_unprintable_ceiling(args.m, args.k, args.cap)
+    if args.cap >= 1:  # else the search refuses the cap first
+        _refuse_unprintable_ceiling(args.m, args.k)
     result = brute_force_max_cyclic(args.m, args.k, args.cap)
     status = "proven" if result.proven else "cap-limited"
     comments = [

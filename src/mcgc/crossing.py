@@ -129,12 +129,18 @@ def cross(s: ColorSequence, t: ColorSequence, plan: CrossProductPlan) -> ColorSe
     return result
 
 
-def split_window(m: int) -> list[int]:
-    """m as 3s then 2s, the most 3s possible (-m % 3 twos), folded left."""
+def _split_counts(m: int) -> tuple[int, int]:
+    """How many 3s and 2s split_window(m) holds: the most 3s possible."""
     if m < 2:
         raise InputError("composition needs a window of at least 2")
     twos = -m % 3
-    return [3] * ((m - 2 * twos) // 3) + [2] * twos
+    return (m - 2 * twos) // 3, twos
+
+
+def split_window(m: int) -> list[int]:
+    """m as 3s then 2s, the most 3s possible (-m % 3 twos), folded left."""
+    threes, twos = _split_counts(m)
+    return [3] * threes + [2] * twos
 
 
 @dataclass(frozen=True)
@@ -192,10 +198,22 @@ def compose_for_m(m: int, max_colors: int = _MAX_COLORS, min_length: int = 1) ->
     the fewest colors, then the shortest output, then the smaller palettes
     in order.  A pick longer than construct.MAX_LENGTH, or whose base words
     and stages hold more than _MAX_BUILD symbols together, raises
-    ComposeError before anything is built.
+    ComposeError before anything is built; a window at which every pick
+    would hold more, before the factors are listed or walked.
     """
     if min_length < 1:
         raise InputError("min_length must be at least 1")
+    # A plan's output, (m1 + m2) * lcm(M1/m1, M2/m2), is never shorter than
+    # M1 + M2, so each stage is at least the running sum of the least base
+    # lengths, and those running sums bound every pick's build work.
+    threes, twos = _split_counts(m)
+    three, two = (cyclic_length(p, palettes(p, p).start) for p in (3, 2))
+    work = three * threes * (threes + 1) // 2 + twos * three * threes + two * twos * (twos + 1) // 2
+    if work > _MAX_BUILD:
+        raise ComposeError(
+            f"every window-{m} word takes at least {work} symbols to build, "
+            f"more than the limit of {_MAX_BUILD}"
+        )
     parts = split_window(m)
     least = budget = sum(palettes(p, max_colors).start for p in parts)
     while True:

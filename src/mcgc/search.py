@@ -42,6 +42,14 @@ out color 1's end window: a subtree where only that one is left holds no
 word the search would record.  The cut search still meets W, and meets no
 longer closing word and no smaller one of W's length, as the full search
 meets none; so every result and witness is the one the full search returns.
+
+The pass keeps one frame per depth d in lists indexed by d: symbol d, its
+prefix sum and the run it ends, and the node's scan bound, window base and
+run-blocked color.  A backtrack reads the parent's last three back, as
+computed when it was entered.  They stay valid: they follow from the
+parent's prefix, ``head`` and ``unused``, and taking a symbol off restores
+``head`` and ``unused`` exactly.  The lists grow with the deepest word
+reached, never from the cap or the ceiling, which can be far longer.
 """
 
 from __future__ import annotations
@@ -98,64 +106,64 @@ def _search(m: int, k: int, length_cap: int) -> tuple[SearchResult, int]:
     limit = min(length_cap, ceiling)
     most = windows // k  # the occurrence cap
     weight = [0] + [(m + 1) ** c for c in range(min(k, limit))]  # colors a canonical word can use
-    # per symbol: its prefix sum, and the largest color the next symbol may take
-    word: list[int] = []
-    prefix = [0]
-    tops = [1]
-    runs = [0]
+    # the depth frames, after a 0 for the empty word (see the module docstring)
+    word, prefix, runs, tops, bases, fulls = [0], [0], [0], [1], [0], [0]
     occurs = [0] * len(weight)
     head = limit
     seen: set[int] = set()
     ends: set[int] = set()
     unused = len(weight) - 2  # the end windows of colors 2, 3, ...
     best = [1]  # the single 1 closes at every m and k
-    placed = 0
-    color = 1
-    while len(best) < limit and (word or color == 1):  # the root tries color 1 only
-        n = len(word) + 1
-        top = tops[-1] if n <= limit and unused else 0
-        base = prefix[-1] - prefix[n - m] if n >= m else prefix[-1]  # the key, less the new color
-        prev = word[-1] if word else 0
-        full = prev if runs[-1] == head else 0  # the color whose run may not grow
+    longest, placed, d = 1, 0, 0
+    color, top, base, full = 1, 1, 0, 0  # the root tries color 1 only
+    while longest < limit:
         while color <= top and (color == full or base + weight[color] in seen):
             color += 1
-        if color > top:
-            color = word.pop()
+        if color > top:  # back to the parent, whose slots are as it left them
+            if not d:
+                break
+            color = word[d]
             occurs[color] -= 1
-            color += 1
-            runs.pop()
-            if len(word) == head:  # back into the first run
+            d -= 1
+            if d == head:  # back into the first run
                 head = limit
-            last = prefix.pop()
-            key = last - prefix[n - 1 - m] if n > m else last
+            top, base, full = tops[d], bases[d], fulls[d]
+            key = base + weight[color]
             seen.remove(key)
             unused += key in ends
-            tops.pop()
+            color += 1
             continue
         if occurs[color] == most:  # tested here, not per color tried in the loop above
             color += 1
             continue
-        word.append(color)
+        n = d + 1
+        if n == len(word):
+            for stack in (word, prefix, runs, tops, bases, fulls):
+                stack.append(0)
+        word[n] = color
         occurs[color] += 1
         placed += 1
-        runs.append(runs[-1] + 1 if color == prev else 1)
+        run = runs[n] = runs[d] + 1 if color == word[d] else 1
         if color > 1 and head == limit:
-            head = n - 1
+            head = d
         key = base + weight[color]
-        prefix.append(prefix[-1] + weight[color])
+        last = prefix[n] = prefix[d] + weight[color]
         seen.add(key)
-        tops.append(top + 1 if color == top < k else top)
         if n == m - 1:  # no window of m symbols is placed yet: unused counts them all
-            ends = {prefix[-1] + w for w in weight[2:]}
+            ends = {last + w for w in weight[2:]}
         unused -= key in ends
         # a closing word longer than 1 does not end in 1
-        if n > len(best) and unused and color > 1:
+        if n > longest and unused and color > 1:
             # the m - 1 windows that wrap, or all n when n < m; the one from s
             # keys as P(s + m) - P(s), with P(x) = (x // n) * prefix[n] + prefix[x % n]
             starts = range(max(0, n + 1 - m), n)
-            wrapped = {(s + m) // n * prefix[n] + prefix[(s + m) % n] - prefix[s] for s in starts}
+            wrapped = {(s + m) // n * last + prefix[(s + m) % n] - prefix[s] for s in starts}
             if len(wrapped) == len(starts) and seen.isdisjoint(wrapped):
-                best = word[:]
+                best, longest = word[1 : n + 1], n
+        d = n
+        top = tops[d] = (top + 1 if color == top < k else top) if n < limit and unused else 0
+        base = bases[d] = last - prefix[n + 1 - m] if n + 1 >= m else last  # the key, less the new color
+        full = fulls[d] = color if run == head else 0  # the color whose run may not grow
         color = 1
     result = SearchResult(
         max_length=len(best),

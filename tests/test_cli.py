@@ -252,6 +252,14 @@ class TestTables:
             "known results there are asymptotic only\n"
         )
 
+    def test_covered_rows_too_long_to_print_end_before_their_numbers(self):
+        # 10**6 divides C(2 * 10**6, 10**6 - 1), so a subset-cycle row covers
+        # this palette; computing C(2000001, 10**6) ran past 30 s first
+        proc = run_child("bounds", "--m", "1000000", "--k-range", "2000001", timeout=2)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: Exceeds the limit (4300 digits)")
+        assert proc.stderr.count("\n") == 1
+
     def test_subset_cycle_rows_are_decided_without_the_binomial(self):
         # computing C(10**7 - 1, 5 * 10**6 - 1) for its divisibility by the
         # window ran past 20 s before this error

@@ -237,6 +237,23 @@ class TestCompose:
             "more than the limit of 71"
         )
 
+    def test_build_work_every_pick_exceeds_is_refused_before_the_walk(self, monkeypatch):
+        # window 9's stages are at least 9, 18 and 27 symbols, whatever the palettes
+        def unreachable(*args):
+            raise AssertionError("the factors were listed or walked")
+
+        monkeypatch.setattr(crossing, "split_window", unreachable)
+        monkeypatch.setattr(crossing, "_walk", unreachable)
+        monkeypatch.setattr(crossing, "_MAX_BUILD", 53)
+        with pytest.raises(ComposeError) as info:
+            compose_for_m(9)
+        assert str(info.value) == (
+            "every window-9 word takes at least 54 symbols to build, more than the limit of 53"
+        )
+        monkeypatch.setattr(crossing, "_MAX_BUILD", 2**23)
+        with pytest.raises(ComposeError, match="at least 5000349996 symbols"):
+            compose_for_m(100000, max_colors=400000)
+
     def test_unreachable_length_fails_fast(self):
         # merged (colors used, length) states keep the failure path small
         code = (

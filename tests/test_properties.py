@@ -7,9 +7,9 @@ however it was made (from colors, counts or key, copied or pickled) against
 its count vector, the count-vector keys a codebook takes and finds against
 an independent oracle, compose_for_m's pick
 against the exhaustive palette oracle, the exhaustive search against a
-search over every word, the gain table against one gain_record per row,
-search-max's early refusal of a ceiling against its exact digits,
-format-then-parse round trips of the sequence, grid and codebook files, the
+search over every word and its node loop against the earlier one, node for
+node, the gain table against one gain_record per row, search-max's early
+refusal of a ceiling against its exact digits, format-then-parse round trips of the sequence, grid and codebook files, the
 codebook rows and unknown-block text against count-vector keys, a slot
 record's and the bound, kmin and gain tables' JSON against json.dumps, and
 the slot loop, which decodes each cell once, against one that decodes every
@@ -35,18 +35,19 @@ from conftest import (
     naive_max_cyclic,
     patched_placement,
 )
+from reference_search import _search as reference_search
 
 from mcgc import sequences, sim
 from mcgc.bounds import (
     BoundRecord,
     GainRecord,
+    _refuse_unprintable_ceiling,
     _table_chunks,
     gain_3dp,
     gain_record,
     gain_table,
     upper_bound,
 )
-from mcgc.cli import _refuse_unprintable_ceiling
 from mcgc.construct import build
 from mcgc.crossing import compose_for_m
 from mcgc.errors import (
@@ -73,7 +74,7 @@ from mcgc.grid2d import (
     product_codebook,
     product_grid,
 )
-from mcgc.search import brute_force_max_cyclic
+from mcgc.search import _search, brute_force_max_cyclic
 from mcgc.sequences import (
     ColorSequence,
     Multiset,
@@ -453,6 +454,49 @@ def test_search_matches_exhaustive_oracle(case):
     assert (result.max_length, result.witness.colors) == naive_max_cyclic(m, k, cap)
 
 
+# For m 1..8 and k 1..7, the largest cap such that the reference places at
+# most 50k symbols at it and at every cap below it, one row per m.
+REFERENCE_CAPS = {
+    (m, k): cap
+    for m, caps in enumerate([
+        (2, 3, 4, 5, 6, 7, 8),
+        (2, 3, 7, 9, 16, 19, 29),
+        (2, 5, 10, 21, 36, 51, 81),
+        (2, 6, 16, 32, 38, 112, 120),
+        (2, 7, 22, 50, 44, 220, 398),
+        (2, 8, 29, 67, 50, 390, 42),
+        (2, 9, 21, 83, 57, 70, 49),
+        (2, 10, 24, 62, 40, 40, 40),
+    ], 1)
+    for k, cap in enumerate(caps, 1)
+}
+
+
+@st.composite
+def reference_instances(draw):
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    return m, k, draw(st.integers(1, min(upper_bound(m, k, cyclic=True) + 1, REFERENCE_CAPS[m, k])))
+
+
+def _with_pinned_cells(test):
+    # the cells of test_search.py::test_symbols_placed_are_pinned, deep words
+    # on many colors, and short words wrapped many times, as explicit examples
+    cells = [(2, 6, 60), (3, 4, 60), (3, 5, 60), (4, 3, 60), (5, 3, 60), (4, 4, 26), (2, 8, 32),
+             (3, 6, 56), (2, 45, 1035), (1, 1200, 1200)]
+    for case in cells + [(m, k, upper_bound(m, k, cyclic=True) + 1) for m in range(8, 13) for k in (1, 2)]:
+        test = example(case)(test)
+    return test
+
+
+@settings(PROPERTY)
+@_with_pinned_cells
+@given(reference_instances())
+def test_search_matches_its_reference_node_for_node(case):
+    # equal dataclasses: every SearchResult field, the witness's too, and
+    # the count of symbols placed
+    assert _search(*case) == reference_search(*case)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
 @settings(PROPERTY, max_examples=150)
 @given(st.integers(1, 20000), st.integers(1, 20000))
@@ -463,7 +507,7 @@ def test_search_max_refuses_early_only_ceilings_too_long_to_print(m, k):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # the interpreter's default
     try:
-        _refuse_unprintable_ceiling(m, k, 1)
+        _refuse_unprintable_ceiling(m, k)
     except ValueError as exc:
         assert str(exc).startswith("Exceeds the limit (4300 digits)")
         assert upper_bound(m, k, cyclic=True) >= 10**4300
