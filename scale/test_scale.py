@@ -46,6 +46,12 @@ except UnsupportedParameterError as exc:
 else:
     raise SystemExit("expected UnsupportedParameterError")
 """
+DISTINCT_COLORS = """
+from mcgc.sequences import ColorSequence, check_distinguishable
+for start in range(1, 3 * 10**6, 10**6):
+    word = ColorSequence(tuple(range(start, start + 10**6)), 3 * 10**6, "cyclic")
+    assert check_distinguishable(word, 2).ok
+"""
 CODEBOOK_801 = """
 from mcgc.construct import build_m2
 from mcgc.grid2d import build_codebook, product_grid
@@ -189,6 +195,18 @@ def test_memory_limits_end_in_one_line(tmp_path):
     axis = made(tmp_path / "axis.txt", "construct", "--m", 2, "--k", 1447, "--linear")
     grid = ("grid", "--s", axis, "--t", axis, "-o", tmp_path / "grid.csv")
     fails(*grid, timeout=10, limit_kb=1500000)  # past the cell limit
+
+
+def test_long_checks_keep_the_weight_memo_bounded(tmp_path):
+    # the 1,047,628-symbol window-2 word, summed by one add per window: 0.6 s
+    # and 178 MB max RSS
+    word = made(tmp_path / "word.txt", "construct", "--m", 2, "--k", 1447)
+    out, rss_mb = ok("verify", "--m", 2, word, timeout=10)
+    assert out == "ok, 1047628 windows distinct\n" and rss_mb < 220
+    # three words of 10**6 distinct colors each, checked in one process:
+    # 236 MB max RSS with the weight memo at its 4096 colors, 604 MB with a
+    # memo that keeps every weight
+    assert ok("-c", DISTINCT_COLORS, timeout=30)[1] < 300
 
 
 def test_simulations_decode_large_fields_and_stream_a_million_slots():

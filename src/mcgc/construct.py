@@ -233,7 +233,7 @@ def build_m3_pair(k: int) -> RecursionPair:
     _check_pair(pair)
     for j in range(9, k + 1, 3):
         relabel = {j - 5: j - 2, j - 4: j - 1, j - 3: j}
-        x = tuple(relabel.get(c, c) for c in pair.t_part)
+        x = tuple(map(relabel.get, pair.t_part, pair.t_part))
         pair = RecursionPair(
             pair.s_part + pair.t_part, x + _y_word(j) + _z_word(j), j
         )

@@ -5,24 +5,28 @@ or cyclically.  It is m-distinguishable when the multisets of its length-m
 windows are pairwise distinct, so a window's multiset identifies where it sits.
 
 The window-key kernel, shared by every check: each window or block is keyed
-by the sum of fixed 64-bit weights of its colors, slid along the word from
-prefix sums at constant cost per window.  Equal multisets have equal sums,
-so only windows whose sums repeat get the exact key (``_summed_report``):
-the sorted tuple of their colors (``window_keys``), which codebooks use too.
-A cyclic read appends the word's head (``_wrapped``) and every sum is slid
-by ``_sliding``.  An m x n block of a grid is the same kernel twice, as in
-a summed-area table: its sum is the length-n window sum, along a band of m
-rows, of the band's length-m column window sums.  This module also owns the
-coding area's tag points (``_starts``) and the '# key=value' header of the
-sequence, grid and codebook files (``data_lines``).
+by the sum of fixed 64-bit weights of its colors (``_mix``), slid along the
+word from prefix sums at constant cost per window, or by one add of two
+neighbouring weights when m = 2.  ``_mix`` memoizes the weights of the last
+4096 distinct colors it was asked for, so checks within one process weigh
+each color once, and a word of more colors keeps the memo at that bound.
+Equal multisets have equal sums, so only windows whose sums repeat get the
+exact key (``_summed_report``): the sorted tuple of their colors
+(``window_keys``), which codebooks use too.  A cyclic read appends the
+word's head (``_wrapped``) and every sum is slid by ``_sliding``.  An m x n
+block of a grid is the same kernel twice, as in a summed-area table: its sum
+is the length-n window sum, along a band of m rows, of the band's length-m
+column window sums.  This module also owns the coding area's tag points
+(``_starts``) and the '# key=value' header of the sequence, grid and
+codebook files (``data_lines``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress, islice, tee
-from operator import ne, sub
+from operator import add, ne, sub
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SelfCheckError
@@ -237,8 +241,10 @@ def window_multiset(seq: ColorSequence, t: int, m: int) -> Multiset:
 _MASK = 2**64 - 1
 
 
+@lru_cache(maxsize=4096)
 def _mix(c: int) -> int:
-    """The fixed 64-bit weight of color c: splitmix64 of the color."""
+    """The fixed 64-bit weight of color c: splitmix64 of the color, memoized
+    for the process's last 4096 distinct colors."""
     z = c * 0x9E3779B97F4A7C15 & _MASK
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
@@ -247,13 +253,19 @@ def _mix(c: int) -> int:
 
 def _weigher(colors: Iterable[int]) -> Callable[[int], int]:
     """Color -> weight for the colors that occur in colors, so the cost
-    follows the distinct colors and not the largest one."""
-    return {c: _mix(c) for c in set(colors)}.__getitem__
+    follows the distinct colors and not the largest one.  _mix is read at
+    each call, so a replaced weight takes effect at once."""
+    distinct = set(colors)
+    return dict(zip(distinct, map(_mix, distinct))).__getitem__
 
 
 def _sliding(values: Iterable[int], m: int) -> list[int]:
-    """Sum of every m consecutive values, in start order, from prefix sums
-    (of which tee keeps only the m between the two ends of a window)."""
+    """Sum of every m consecutive values, in start order: pairwise for m = 2,
+    else from prefix sums (of which tee keeps only the m between the two
+    ends of a window)."""
+    if m == 2:
+        starts, ends = tee(values)
+        return list(map(add, starts, islice(ends, 1, None)))
     ends, starts = tee(accumulate(values, initial=0))
     return list(map(sub, islice(ends, m, None), starts))
 

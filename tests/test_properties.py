@@ -1,5 +1,6 @@
 """Property tests: the window-key kernel against the naive quadratic oracles,
-also with color weights whose sums repeat or collide, the palette rule
+also with color weights whose sums repeat or collide, and on colors drawn
+sparsely from palettes up to 10**12, past its weight memo, the palette rule
 against a color-by-color loop, the axis-backed product codebook against the
 grid's codebook (also on keys of other lengths than a block's), decoding
 from reported colors against decoding a multiset, decoding a multiset
@@ -135,12 +136,21 @@ def test_grid_check_matches_naive_oracle(case):
 
 
 def _checks_match_oracles(word_case, grid_case):
-    seq, m = word_case
-    report = check_distinguishable(seq, m)
-    assert (report.ok, report.collision) == naive_distinguishable(seq, m)
-    g, bm, bn = grid_case
-    report = check_grid_distinguishable(g, bm, bn)
-    assert (report.ok, report.collision) == naive_grid_distinguishable(g, bm, bn)
+    """Both checks agree with their oracles; a window longer than the word,
+    or a block larger than the grid, is refused."""
+    (seq, m), (g, bm, bn) = word_case, grid_case
+    if m > len(seq):
+        with pytest.raises(InputError, match="exceeds sequence length"):
+            check_distinguishable(seq, m)
+    else:
+        report = check_distinguishable(seq, m)
+        assert (report.ok, report.collision) == naive_distinguishable(seq, m)
+    if bm > g.M or bn > g.N:
+        with pytest.raises(InputError, match="larger than grid"):
+            check_grid_distinguishable(g, bm, bn)
+    else:
+        report = check_grid_distinguishable(g, bm, bn)
+        assert (report.ok, report.collision) == naive_grid_distinguishable(g, bm, bn)
 
 
 # Palettes above stay within 16 colors, so a list of 17 weights covers them.
@@ -158,6 +168,74 @@ def test_checks_match_oracles_when_weight_sums_collide(word_case, grid_case, wei
     # sums of unequal multisets collide among the equal ones
     with patch.object(sequences, "_mix", weights.__getitem__):
         _checks_match_oracles(word_case, grid_case)
+
+
+# The strategies above reuse 16 colors, whose weights the checks' memo
+# (sequences._mix, 4096 colors) keeps after the first examples.  Colors drawn
+# sparsely from palettes up to 10**12 miss it, and over a run evict from it.
+@st.composite
+def sparse_palette(draw):
+    k = draw(st.integers(1, 10**12))
+    return k, draw(st.lists(st.integers(1, k), min_size=1, max_size=6, unique=True))
+
+
+@st.composite
+def sparse_word_and_window(draw):
+    k, palette = draw(sparse_palette())
+    colors = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=12))
+    seq = ColorSequence(tuple(colors), k, draw(st.sampled_from(("linear", "cyclic"))))
+    return seq, draw(st.integers(1, 4))
+
+
+@st.composite
+def sparse_grid_and_block(draw):
+    k, palette = draw(sparse_palette())
+    M, N = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from(palette), min_size=N, max_size=N).map(tuple)
+    rows = draw(st.lists(row, min_size=M, max_size=M))
+    g = ColorGrid2D(tuple(rows), k, draw(st.sampled_from(("plain", "cyclic"))))
+    return g, draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+@PROPERTY
+@given(sparse_word_and_window(), sparse_grid_and_block())
+def test_checks_match_oracles_on_sparse_palettes(word_case, grid_case):
+    for _ in range(2):  # with the weights not yet kept, then kept
+        _checks_match_oracles(word_case, grid_case)
+
+
+@st.composite
+def many_colored_word_and_grid(draw):
+    """A word, and a grid of 4 rows, each of more than 4096 distinct colors
+    drawn sparsely from a palette up to 10**12, so that one check evicts
+    weights it asked for.  One window of the word, and one block of the
+    grid, is made again at a random place as a permutation of its colors,
+    so the oracle's first collision, if any, is the one to find past the
+    memo."""
+    k = draw(st.integers(10**4, 10**12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m, bm, bn = (draw(st.integers(1, 4)) for _ in range(3))
+    colors = rng.sample(range(1, k + 1), rng.randint(4101, 4160))
+    src, dst = (rng.randrange(len(colors) - m) for _ in range(2))
+    colors[dst : dst + m] = rng.sample(colors[src : src + m], m)
+    seq = ColorSequence(tuple(colors), k, draw(st.sampled_from(("linear", "cyclic"))))
+    N = rng.randint(1029, 1040)
+    cells = rng.sample(range(1, k + 1), 4 * N)
+    rows = [cells[x * N : (x + 1) * N] for x in range(4)]
+    (x0, y0), (x1, y1) = ((rng.randrange(5 - bm), rng.randrange(N - bn)) for _ in range(2))
+    block = [rows[x0 + i][y0 + j] for i in range(bm) for j in range(bn)]
+    rng.shuffle(block)
+    for i in range(bm):
+        rows[x1 + i][y1 : y1 + bn] = block[i * bn : (i + 1) * bn]
+    g = ColorGrid2D(tuple(map(tuple, rows)), k, draw(st.sampled_from(("plain", "cyclic"))))
+    return (seq, m), (g, bm, bn)
+
+
+@settings(PROPERTY, max_examples=4)
+@given(many_colored_word_and_grid())
+def test_checks_match_oracles_past_the_weight_memo(case):
+    for _ in range(2):
+        _checks_match_oracles(*case)
 
 
 # Codes of windows 1 to 3: axes that are distinguishable at their window.

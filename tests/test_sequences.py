@@ -8,6 +8,7 @@ from vectors import BASE_K3, PROBE_15
 
 from mcgc import sequences
 from mcgc.errors import InputError
+from mcgc.grid2d import ColorGrid2D, check_grid_distinguishable
 from mcgc.sequences import (
     ColorSequence,
     Multiset,
@@ -225,6 +226,30 @@ class TestShortcutCounts:
             compared.clear()
             sequences._require_palette(Palette(5), ([1, 2, 3] * 334)[:length])
             assert len(compared) == checks
+
+
+class TestWeightMemo:
+    """The weights the checks ask of _mix: each color's computed once per
+    process, and no more than 4096 of them kept."""
+
+    def test_checking_again_weighs_no_color_again(self):
+        weighed = []
+
+        class Color(int):  # _mix starts with c * 0x9E3779B97F4A7C15
+            def __mul__(self, other):
+                weighed.append(int(self))
+                return int(self) * other
+
+        word = tuple(map(Color, (7, 10**12, 7, 3, 3, 10**12 - 1, 42)))
+        for mode in "linear", "cyclic", "cyclic":
+            check_distinguishable(ColorSequence(word, 10**12, mode), 2)
+            check_grid_distinguishable(ColorGrid2D((word, word[::-1]), 10**12), 2, 2)
+        assert sorted(weighed) == [3, 7, 42, 10**12 - 1, 10**12]
+
+    def test_a_word_of_more_colors_leaves_the_memo_at_its_bound(self):
+        word = ColorSequence(tuple(range(10**9, 10**9 + 5000)), 10**9 + 5000, "linear")
+        assert check_distinguishable(word, 3).ok
+        assert sequences._mix.cache_info().currsize <= 4096
 
 
 class TestTCut:
