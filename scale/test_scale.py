@@ -168,7 +168,7 @@ def test_over_long_inputs_end_in_an_error_line(argv, tmp_path):
 
 
 def test_tables_finish():
-    out, _ = ok("kmin", "--m", 100000, "--sizes", 100000, timeout=20)
+    out, _ = ok("kmin", "--m", 100000, "--sizes", 100000, timeout=2)
     assert out.splitlines()[-1] == "100000,100000,100001"
     # 270,000 rows from 900 (size, side) palette searches; about 11 s when
     # every row searched both of its palettes again

@@ -128,11 +128,6 @@ def _families(m: int, k: int) -> list[tuple[str, bool, Callable[[], int]]]:
     return out
 
 
-def _lower_candidates(m: int, k: int) -> list[tuple[int, str, bool]]:
-    """(value, provenance, existence_only) for every family of _families."""
-    return [(value(), provenance, existence) for provenance, existence, value in _families(m, k)]
-
-
 def _divides_binomial(m: int, n: int, r: int) -> bool:
     """Does m divide C(n, r), for 0 <= r <= n, without computing C(n, r)?
 
@@ -188,8 +183,8 @@ def bound_record(m: int, k: int) -> BoundRecord:
 def _bound_record(m: int, k: int, printed: bool) -> BoundRecord:
     """bound_record's row; a printed row whose ceiling is surely too long to
     print ends after the coverage test, before any number is computed.  (A
-    kmin or gain row prints no ceiling, so min_colors_1d asks for none.)"""
-    _require_window_palette(m, k)  # first: _families(0, k) fails in math.comb
+    kmin or gain row prints no ceiling, so min_colors_1d asks for no row.)"""
+    _require_window_palette(m, k)  # first: _families divides by 0 at m = 0, loops at m = -1
     families = _families(m, k)
     if not families:  # refused before the ceiling, which can run to millions of digits
         raise UnsupportedParameterError(
@@ -232,8 +227,8 @@ def min_colors_1d(M: int, m: int) -> int:
     reaches M.
 
     The scan starts at the least k whose linear ceiling (increasing in k)
-    reaches M and asks the families of _lower_candidates directly, skipping
-    palettes none covers; only the answer is checked through bound_record.
+    reaches M and asks _families' values one at a time, skipping palettes
+    none covers; the answer's ceiling, which bound_record checks, is not computed.
     """
     if m < 1 or M < m:
         raise InputError("need M >= m >= 1")
@@ -245,8 +240,8 @@ def min_colors_1d(M: int, m: int) -> int:
     if m != 1 and m not in _Y0:  # only the subset-cycle family, from k = m on
         start = max(start, m - 1)
     for k in ks[start:]:
-        if any(value >= M for value, _, _ in _lower_candidates(m, k)):
-            return bound_record(m, k).k
+        if any(value() >= M for _, _, value in _families(m, k)):
+            return k
     raise UnsupportedParameterError(
         f"no palette up to {_K_LIMIT} reaches length {M} for window {m}"
     )

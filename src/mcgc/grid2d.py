@@ -184,8 +184,9 @@ def check_grid_distinguishable(
     Blocks are keyed as windows are, by the window kernel applied down the
     columns and then along each band (``mcgc.sequences``).
     """
-    starts = block_starts(g, m, n)
+    _require_block(m, n, g.M, g.N)
     cyclic = g.mode == "cyclic"
+    per_band = len(_starts(g.N, n, cyclic))  # blocks in each band of m rows
     weight = _weigher(chain.from_iterable(g.cells))
 
     def slide(values: Sequence[int], r: int) -> list[int]:
@@ -196,9 +197,11 @@ def check_grid_distinguishable(
     slid = {column: slide(tuple(map(weight, column)), m) for column in set(columns)}
     bands = zip(*map(slid.__getitem__, columns))
     sums = list(chain.from_iterable(slide(band, n) for band in bands))
-    return _summed_report(
-        sums, starts, lambda i: tuple(sorted(_block_colors(g, *starts[i], m, n)))
-    )
+
+    def tag(i: int) -> tuple[int, int]:  # (x0, y0) of block i, as block_starts lists it
+        return divmod(i, per_band)
+
+    return _summed_report(sums, tag, lambda i: tuple(sorted(_block_colors(g, *tag(i), m, n))))
 
 
 class _CountVectors(Mapping):

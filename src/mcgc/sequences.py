@@ -271,14 +271,14 @@ def _sliding(values: Iterable[int], m: int) -> list[int]:
 
 
 def _summed_report(
-    sums: list[int], tags: Sequence, key: Callable[[int], tuple]
+    sums: list[int], tag: Callable[[int], object], key: Callable[[int], tuple]
 ) -> DistinguishabilityReport:
     """Report on the weight sums of windows listed in ascending tag order,
-    whatever the weights; a collision is the smallest (first, repeat) tag
-    pair over all repeated multisets.  Only the windows of a repeated sum get
-    key(i), the exact key of window i, bucket by bucket in order of the
-    bucket's first window, until a bucket starts after the best pair's first.
-    """
+    whatever the weights; a collision is the smallest (first, repeat) pair
+    over all repeated multisets, named by tag(i), the tag of window i.  Only
+    the windows of a repeated sum get key(i), their exact key, bucket by
+    bucket in order of the bucket's first window, until a bucket starts
+    after the best pair's first."""
     n = len(sums)
     if len(set(sums)) == n:
         return DistinguishabilityReport(True, None, n)
@@ -298,7 +298,7 @@ def _summed_report(
                 best = min(best, (j, i))
                 if j == head:  # no later pair, in this bucket or after it, is smaller
                     break
-    collision = None if best[0] == n else (tags[best[0]], tags[best[1]])
+    collision = None if best[0] == n else (tag(best[0]), tag(best[1]))
     return DistinguishabilityReport(collision is None, collision, n)
 
 
@@ -307,7 +307,7 @@ def check_distinguishable(seq: ColorSequence, m: int) -> DistinguishabilityRepor
     starts = window_starts(seq, m)
     colors = _wrapped(seq.colors, m) if seq.mode == "cyclic" else seq.colors
     sums = _sliding(map(_weigher(colors), colors), m)
-    return _summed_report(sums, starts, lambda t: tuple(sorted(colors[t : t + m])))
+    return _summed_report(sums, starts.__getitem__, lambda t: tuple(sorted(colors[t : t + m])))
 
 
 def _require_distinguishable(seq: ColorSequence, m: int, what: str) -> None:

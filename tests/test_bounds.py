@@ -174,13 +174,13 @@ class TestMinColors:
     @pytest.mark.parametrize("m, k", [(1, 10**7), (2, 4473), (3, 391), (4, 123)])
     def test_scan_starts_at_the_linear_ceiling(self, m, k, monkeypatch):
         calls = []
-        candidates = bounds._lower_candidates
+        candidates = bounds._families
 
         def counting(m, k):
             calls.append(k)
             return candidates(m, k)
 
-        monkeypatch.setattr(bounds, "_lower_candidates", counting)
+        monkeypatch.setattr(bounds, "_families", counting)
         assert min_colors_1d(10**7, m) == k
         assert len(calls) < 50
 
@@ -188,13 +188,13 @@ class TestMinColors:
         # no family covers a palette below the window there: a window past
         # the palette limit failed after 10**7 calls
         calls = []
-        candidates = bounds._lower_candidates
+        candidates = bounds._families
 
         def counting(m, k):
             calls.append(k)
             return candidates(m, k)
 
-        monkeypatch.setattr(bounds, "_lower_candidates", counting)
+        monkeypatch.setattr(bounds, "_families", counting)
         assert min_colors_1d(7, 7) == 8
         assert min(calls) == 7
         calls.clear()
@@ -218,7 +218,7 @@ class TestMinColors:
         for name in calls:
             monkeypatch.setattr(bounds, name, counted(name))
         assert min_colors_1d(3000, 3000) == 3001
-        assert calls == {"bound_record": 1, "lower_bound": 0}
+        assert calls == {"bound_record": 0, "lower_bound": 0}
 
     def test_ceiling_probes_stay_near_the_answer(self, monkeypatch):
         # a ceiling at k near the palette limit has millions of digits

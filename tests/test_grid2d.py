@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_sequence, run_child
+from conftest import naive_grid_distinguishable, random_sequence, run_child
 
 from mcgc import construct, grid2d
 from mcgc.bounds import multichoose
@@ -189,6 +189,26 @@ class TestCheckGrid:
         report = check_grid_distinguishable(ColorGrid2D(cells, 2, mode), 2, 2)
         assert report.collision == collision
         assert keyed == list(collision)
+
+    @pytest.mark.parametrize("cells, mode, collision", [
+        (((1, 4, 1, 3, 5), (5, 5, 4, 2, 2), (5, 2, 1, 2, 5), (5, 2, 4, 5, 3)), "plain",
+         ((1, 1), (2, 2))),
+        (((5, 4, 3, 3, 2), (5, 2, 3, 2, 2), (3, 1, 3, 1, 4)), "cyclic", ((1, 1), (1, 2))),
+    ], ids=["plain", "cyclic"])
+    def test_collision_tags_named_without_listing_every_block(
+        self, cells, mode, collision, monkeypatch
+    ):
+        # a band holds N - n + 1 plain blocks but N cyclic ones, and the
+        # collision sits past the first band, so a miscounted band misnames it
+        g = ColorGrid2D(cells, 5, mode)
+        assert naive_grid_distinguishable(g, 2, 2) == (False, collision)
+
+        def refuse(*args):
+            raise AssertionError("block_starts listed every block")
+
+        monkeypatch.setattr(grid2d, "block_starts", refuse)
+        report = check_grid_distinguishable(g, 2, 2)
+        assert (report.ok, report.collision) == (False, collision)
 
     def test_product_iff_both_axes(self, rng):
         hits = {True: 0, False: 0}

@@ -9,7 +9,8 @@ its count vector, the count-vector keys a codebook takes and finds against
 an independent oracle, compose_for_m's pick
 against the exhaustive palette oracle, the exhaustive search against a
 search over every word and its node loop against the earlier one, node for
-node, the gain table against one gain_record per row, search-max's early
+node, the gain table against one gain_record per row, min_colors_1d against
+the least palette whose bound record reaches the length, search-max's early
 refusal of a ceiling against its exact digits, format-then-parse round trips of the sequence, grid and codebook files, the
 codebook rows and unknown-block text against count-vector keys, a slot
 record's and the bound, kmin and gain tables' JSON against json.dumps, and
@@ -17,6 +18,7 @@ the slot loop, which decodes each cell once, against one that decodes every
 slot."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -44,9 +46,11 @@ from mcgc.bounds import (
     GainRecord,
     _refuse_unprintable_ceiling,
     _table_chunks,
+    bound_record,
     gain_3dp,
     gain_record,
     gain_table,
+    min_colors_1d,
     upper_bound,
 )
 from mcgc.construct import build
@@ -58,6 +62,7 @@ from mcgc.errors import (
     McgcError,
     TrackingError,
     UnknownBlockError,
+    UnsupportedParameterError,
 )
 from mcgc.grid2d import (
     Codebook,
@@ -615,6 +620,27 @@ def test_gain_table_is_one_gain_record_per_row(sizes, blocks):
     assert _rows_or_refusal(lambda: gain_table(sizes, blocks)) == _rows_or_refusal(
         lambda: [gain_record(*row) for row in rows]
     )
+
+
+def _least_palette_reaching(M, m):
+    """The least k whose bound record's lower bound reaches M, skipping
+    palettes no formula covers."""
+    for k in itertools.count(1):
+        try:
+            if bound_record(m, k).lower >= M:
+                return k
+        except UnsupportedParameterError:
+            pass
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(st.integers(m, 2000), st.just(m))))
+@example((2000, 1))
+@example((7, 7))  # no formula covers k = 1..7
+@example((2000, 8))
+def test_min_colors_is_the_least_palette_whose_record_reaches_the_length(case):
+    M, m = case
+    assert min_colors_1d(M, m) == _least_palette_reaching(M, m)
 
 
 # Comment words as the commands write them: free words and key=value tokens
