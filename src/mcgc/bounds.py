@@ -18,6 +18,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .construct import cyclic_length, palettes
 from .errors import InputError, UnsupportedParameterError
+from .sequences import _require_window_palette, multichoose, upper_bound
 
 __all__ = [
     "multichoose",
@@ -38,44 +39,6 @@ __all__ = [
     "render_kmin_csv",
     "render_gain_csv",
 ]
-
-
-def multichoose(k: int, m: int) -> int:
-    """Number of m-multisets over a k-color palette: C(k+m-1, m)."""
-    if k < 1 or m < 0:
-        raise InputError("need k >= 1 and m >= 0")
-    return math.comb(k + m - 1, m)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, int(n**0.5) + 1))
-
-
-def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
-    """Ceiling on the length of an m-distinguishable sequence on [k].
-
-    Cyclic mode: the window count C(k+m-1, m), less the multisets that
-    ``_forced_unused`` counts.  Linear mode: window count plus m-1; the
-    cyclic refinement rests on wraparound and does not transfer.
-    """
-    _require_window_palette(m, k)
-    total = multichoose(k, m)
-    if cyclic:
-        return total - _forced_unused(m, k)
-    return total + m - 1
-
-
-def _require_window_palette(m: int, k: int) -> None:
-    if m < 1 or k < 1:
-        raise InputError("need m >= 1 and k >= 1")
-
-
-def _forced_unused(m: int, k: int) -> int:
-    """How many m-multisets on [k] every cyclic word leaves unused: when m
-    is a prime dividing k a counting parity forces k/m, else none."""
-    return k // m if k % m == 0 and _is_prime(m) else 0
 
 
 @dataclass(frozen=True)

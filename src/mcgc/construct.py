@@ -3,17 +3,16 @@
 m=1 is the bare palette; m=2 is an Eulerian circuit written in closed form
 (``build_m2``); m=3 grows a (head, tail) pair, three colors per step.  Every
 generator refuses a word longer than MAX_LENGTH before building it and
-validates its own output against the checker and the length formula.
+validates its own output against the checker and the ceiling it reaches.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, cycle
 
 from .errors import InputError, SelfCheckError, UnsupportedParameterError
-from .sequences import ColorSequence, _require_distinguishable, t_cut
+from .sequences import ColorSequence, _require_distinguishable, t_cut, upper_bound
 
 __all__ = [
     "MAX_LENGTH",
@@ -73,16 +72,13 @@ def canonical_one_factor(k: int) -> list[tuple[int, int]]:
     return [(v, v + 1) for v in range(1, k, 2)]
 
 
-# Base words by window: first palette, palette step, cyclic length on k
-# colors, and the generator's name.  palettes, cyclic_length and build read
-# it, and compositions, simulator axes and bound tables go through them.
-# build looks the generator up by name when called, so a wrapper set on the
+# Base words by window: first palette, palette step and the generator's
+# name.  Each word reaches the cyclic ceiling upper_bound (its docstring has
+# the argument).  palettes, cyclic_length and build read the table, and
+# compositions, simulator axes and bound tables go through them.  build
+# looks the generator up by name when called, so a wrapper set on the
 # module sees every build.
-_BASES = {
-    1: (1, 1, lambda k: k, "build_m1"),
-    2: (3, 1, lambda k: math.comb(k + 1, 2) - (0 if k % 2 else k // 2), "build_m2"),
-    3: (3, 3, lambda k: math.comb(k + 2, 3) - k // 3, "build_m3"),
-}
+_BASES = {1: (1, 1, "build_m1"), 2: (3, 1, "build_m2"), 3: (3, 3, "build_m3")}
 
 
 # The longest word a generator, compose_for_m or a codebook file makes: a
@@ -105,19 +101,20 @@ def _base(m: int) -> tuple:
 
 def palettes(m: int, max_colors: int) -> range:
     """Palette sizes up to max_colors that build(m, k) accepts, ascending."""
-    first, step, _, _ = _base(m)
+    first, step, _ = _base(m)
     return range(first, max_colors + 1, step)
 
 
 def cyclic_length(m: int, k: int) -> int:
-    """Length of the cyclic word build(m, k), for k in palettes(m, ...)."""
-    return _base(m)[2](k)
+    """Length of build(m, k) for k in palettes(m, ...): the ceiling it reaches."""
+    _base(m)
+    return upper_bound(m, k)
 
 
 def build(m: int, k: int) -> ColorSequence:
     """The cyclic m-distinguishable word on [k]; its generator refuses a
     word longer than MAX_LENGTH before building it."""
-    return globals()[_base(m)[3]](k)
+    return globals()[_base(m)[2]](k)
 
 
 def _self_check(seq: ColorSequence, m: int) -> None:
@@ -143,10 +140,10 @@ def _m2_word(k: int) -> tuple[int, ...]:
 def build_m2(k: int) -> ColorSequence:
     """Cyclic 2-distinguishable sequence on [k].
 
-    Odd k: length k(k+1)/2, covering every pair multiset exactly once (an
-    Eulerian circuit of the complete graph with one loop per vertex).  Even
-    k: length k(k+1)/2 - k/2, an Eulerian circuit of the complete graph
-    minus the canonical matching with every first occurrence doubled.  The
+    Length upper_bound(2, k).  Odd k: k(k+1)/2, every pair multiset once
+    (an Eulerian circuit of the complete graph with one loop per vertex).
+    Even k: k(k+1)/2 - k/2, an Eulerian circuit of the complete graph minus
+    the canonical matching with every first occurrence doubled.  The
     circuit is the one ``eulerian_circuit(g, 1)`` walks (loops first, then
     the lowest free neighbor), in closed form: for a = 1, 3, ... below k-1,
     a segment a (a, a+1 for odd k), then v = a+2..k, each v but k followed
@@ -244,8 +241,8 @@ def build_m3_pair(k: int) -> RecursionPair:
 def build_m3(k: int) -> ColorSequence:
     """Cyclic 3-distinguishable sequence on [k], k a multiple of 3.
 
-    Length C(k+2,3) - k/3: every triple multiset occurs as a window except
-    the k/3 consecutive ones {1,2,3}, {4,5,6}, ..., {k-2,k-1,k}.
+    Length upper_bound(3, k) = C(k+2,3) - k/3: every triple multiset occurs
+    as a window except the k/3 consecutive ones {1,2,3}, ..., {k-2,k-1,k}.
     """
     if k < 3 or k % 3 != 0:
         raise UnsupportedParameterError(

@@ -56,9 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import _forced_unused, multichoose
 from .errors import InputError
-from .sequences import ColorSequence
+from .sequences import ColorSequence, multichoose, upper_bound
 
 __all__ = ["SearchResult", "brute_force_max_cyclic"]
 
@@ -101,10 +100,9 @@ def _search(m: int, k: int, length_cap: int) -> tuple[SearchResult, int]:
     """
     if m < 1 or k < 1 or length_cap < 1:
         raise InputError("m, k and the length cap must all be at least 1")
-    windows = multichoose(k, m)
-    ceiling = windows - _forced_unused(m, k)
+    ceiling = upper_bound(m, k)
     limit = min(length_cap, ceiling)
-    most = windows // k  # the occurrence cap
+    most = multichoose(k, m) // k  # the occurrence cap
     weight = [0] + [(m + 1) ** c for c in range(min(k, limit))]  # colors a canonical word can use
     # the depth frames, after a 0 for the empty word (see the module docstring)
     word, prefix, runs, tops, bases, fulls = [0], [0], [0], [1], [0], [0]

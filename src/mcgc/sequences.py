@@ -17,12 +17,14 @@ word's head (``_wrapped``) and every sum is slid by ``_sliding``.  An m x n
 block of a grid is the same kernel twice, as in a summed-area table: its sum
 is the length-n window sum, along a band of m rows, of the band's length-m
 column window sums.  This module also owns the coding area's tag points
-(``_starts``) and the '# key=value' header of the sequence, grid and
-codebook files (``data_lines``).
+(``_starts``), the window-count ceiling (``upper_bound``) and the
+'# key=value' header of the sequence, grid and codebook files
+(``data_lines``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, islice, tee
@@ -135,6 +137,44 @@ class Multiset:
         return "-".join(str(c) for c in self.counts)
 
 
+def multichoose(k: int, m: int) -> int:
+    """Number of m-multisets over a k-color palette: C(k+m-1, m)."""
+    if k < 1 or m < 0:
+        raise InputError("need k >= 1 and m >= 0")
+    return math.comb(k + m - 1, m)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % p for p in range(2, int(n**0.5) + 1))
+
+
+def _require_window_palette(m: int, k: int) -> None:
+    if m < 1 or k < 1:
+        raise InputError("need m >= 1 and k >= 1")
+
+
+def _forced_unused(m: int, k: int) -> int:
+    """How many m-multisets on [k] every cyclic word leaves unused: when m
+    is a prime dividing k a counting parity forces k/m, else none."""
+    return k // m if k % m == 0 and _is_prime(m) else 0
+
+
+def upper_bound(m: int, k: int, cyclic: bool = True) -> int:
+    """Ceiling on the length of an m-distinguishable sequence on [k].
+
+    Its windows are distinct m-multisets on [k], of which there are
+    C(k+m-1, m).  A cyclic word has a window per symbol and leaves unused
+    the multisets ``_forced_unused`` counts; every base word of
+    ``construct`` reaches this ceiling.  A linear word has m-1 symbols more
+    than windows, and no wraparound for that refinement to rest on.
+    """
+    _require_window_palette(m, k)
+    total = multichoose(k, m)
+    if cyclic:
+        return total - _forced_unused(m, k)
+    return total + m - 1
+
+
 @dataclass(frozen=True)
 class ColorSequence:
     """A word over [palette_size] with a linear or cyclic reading."""
@@ -220,7 +260,7 @@ def window_keys(
     shorter than m.  Equal keys mean equal multisets.
     """
     starts = _starts(len(colors), m, cyclic)[::step]
-    if cyclic:
+    if cyclic and starts:  # an empty word has no start, and nothing to wrap
         colors = _wrapped(colors, m)
     return [tuple(sorted(colors[t : t + m])) for t in starts]
 

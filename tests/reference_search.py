@@ -6,10 +6,9 @@ in ``mcgc.search``'s module docstring."""
 
 from __future__ import annotations
 
-from mcgc.bounds import _forced_unused, multichoose
 from mcgc.errors import InputError
 from mcgc.search import SearchResult
-from mcgc.sequences import ColorSequence
+from mcgc.sequences import ColorSequence, _forced_unused, multichoose
 
 
 def _search(m: int, k: int, length_cap: int) -> tuple[SearchResult, int]:

@@ -215,6 +215,15 @@ class TestPadWithNewColors:
         assert str(info.value) == "padded sequence failed validation at windows (0, 1)"
 
 
+# The paper's cyclic lengths of the base words, written apart from the
+# ceiling that cyclic_length reads.
+CLOSED_FORMS = {
+    1: lambda k: k,
+    2: lambda k: k * (k + 1) // 2 - (0 if k % 2 else k // 2),
+    3: lambda k: math.comb(k + 2, 3) - k // 3,
+}
+
+
 class TestBaseDispatch:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_every_listed_palette_builds_at_its_length(self, m):
@@ -222,8 +231,17 @@ class TestBaseDispatch:
         assert ks == {1: list(range(1, 13)), 2: list(range(3, 13)), 3: [3, 6, 9, 12]}[m]
         for k in ks:
             seq = build(m, k)
-            assert len(seq) == cyclic_length(m, k)
+            assert len(seq) == cyclic_length(m, k) == CLOSED_FORMS[m](k)
             assert seq == {1: build_m1, 2: build_m2, 3: build_m3}[m](k)
+        for k in palettes(m, 5000):
+            assert cyclic_length(m, k) == CLOSED_FORMS[m](k), k
+
+    def test_window_3_length_off_its_palettes_is_the_plain_ceiling(self):
+        # no base word exists where 3 does not divide k, and no parity
+        # argument forces a triple out there
+        for k in (1, 2, 4, 5, 7, 8, 10, 3001):
+            assert k not in palettes(3, k)
+            assert cyclic_length(3, k) == math.comb(k + 2, 3)
 
     def test_generators_looked_up_when_called(self, monkeypatch):
         # a wrapper set on the module (as the tracer does) sees every build

@@ -53,6 +53,12 @@ class TestWindowKeys:
     def test_short_cyclic_word_wraps_more_than_once(self):
         assert window_keys((1, 2), 5, cyclic=True) == [(1, 1, 1, 2, 2), (1, 1, 2, 2, 2)]
 
+    def test_empty_word_has_no_windows_in_either_reading(self):
+        # nothing to wrap: the cyclic reading must not divide by the length
+        for m in (1, 2, 5):
+            assert window_keys((), m, cyclic=False) == []
+            assert window_keys((), m, cyclic=True) == []
+
     def test_step(self):
         assert window_keys((4, 3, 2, 1, 5, 6), 4, cyclic=True, step=2) == [
             (1, 2, 3, 4),
