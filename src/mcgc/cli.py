@@ -5,39 +5,19 @@ bound/kmin/gain tables, grid building, codebook building, decoding, and the
 tracking simulator.  Exit codes: 0 success, 1 domain error, 2 usage error.
 Each ``cmd_*`` makes every check, then returns its data as text chunks and
 its exit code; ``dispatch`` writes the chunks as they come to stdout (or
---output FILE) in one place.  Diagnostics go to stderr.
+--output FILE) in one place.  Diagnostics go to stderr.  Commands call the
+package's modules through their module objects, so each command runs only
+the modules it calls (see ``mcgc/__init__``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterable
 
-from . import __version__
-from .bounds import _refuse_unprintable_ceiling, _table_chunks, bounds_table, gain_table, kmin_table
-from .construct import build
-from .crossing import _MAX_COLORS, compose_for_m, cross, plan_cross, shift_palette
+from . import __version__, bounds, construct, crossing, grid2d, search, sequences, sim
 from .errors import InputError, McgcError
-from .grid2d import (
-    _codebook_lines,
-    _grid_lines,
-    build_codebook,
-    decode_colors,
-    parse_codebook,
-    parse_grid,
-    product_grid,
-)
-from .search import brute_force_max_cyclic
-from .sequences import (
-    ColorSequence,
-    check_distinguishable,
-    format_sequence,
-    parse_sequences,
-    t_cut,
-)
-from .sim import _CONFIG_KEYS, _make_config, deploy, iter_slots, parse_config, summarize
 
 FORMAT_VERSION = 1
 
@@ -62,8 +42,8 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _read_sequences(path: str) -> list[ColorSequence]:
-    seqs = parse_sequences(_read_text(path))
+def _read_sequences(path: str) -> list[sequences.ColorSequence]:
+    seqs = sequences.parse_sequences(_read_text(path))
     if not seqs:
         raise InputError(f"no sequence found in {path}")
     return seqs
@@ -91,13 +71,13 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_construct(args) -> tuple[Iterable[str], int]:
-    seq = build(args.m, args.k)
+    seq = construct.build(args.m, args.k)
     if args.linear:
         t = args.cut if args.cut is not None else len(seq) - 1
-        seq = t_cut(seq, t, args.m)
+        seq = sequences.t_cut(seq, t, args.m)
     elif args.cut is not None:
         raise InputError("--cut only applies together with --linear")
-    return [format_sequence(seq)], 0
+    return [sequences.format_sequence(seq)], 0
 
 
 def cmd_verify(args) -> tuple[Iterable[str], int]:
@@ -108,7 +88,7 @@ def cmd_verify(args) -> tuple[Iterable[str], int]:
             seq = seq.with_mode("cyclic")
         elif args.linear:
             seq = seq.with_mode("linear")
-        report = check_distinguishable(seq, args.m)
+        report = sequences.check_distinguishable(seq, args.m)
         if report.ok:
             result = {"ok": True, "windows": report.window_count}
             line = f"ok, {report.window_count} windows distinct"
@@ -117,56 +97,59 @@ def cmd_verify(args) -> tuple[Iterable[str], int]:
             i, j = report.collision
             result = {"ok": False, "collision": [i, j]}
             line = f"collision: windows {i} and {j} carry the same multiset"
-        lines.append(json.dumps(result, sort_keys=True) if args.format == "json" else line)
+        if args.format == "json":
+            import json  # the one output of this module that is JSON
+            line = json.dumps(result, sort_keys=True)
+        lines.append(line)
     return ["\n".join(lines) + "\n"], 1 if failures else 0
 
 
 def cmd_cut(args) -> tuple[Iterable[str], int]:
     seq = _read_sequences(args.file)[0].with_mode("cyclic")
-    return [format_sequence(t_cut(seq, args.t, args.m))], 0
+    return [sequences.format_sequence(sequences.t_cut(seq, args.t, args.m))], 0
 
 
 def cmd_search_max(args) -> tuple[Iterable[str], int]:
     if args.cap >= 1:  # else the search refuses the cap first
-        _refuse_unprintable_ceiling(args.m, args.k)
-    result = brute_force_max_cyclic(args.m, args.k, args.cap)
+        bounds._refuse_unprintable_ceiling(args.m, args.k)
+    result = search.brute_force_max_cyclic(args.m, args.k, args.cap)
     status = "proven" if result.proven else "cap-limited"
     comments = [
         f"search m={args.m} max={result.max_length} {status} "
         f"cap={result.cap} ceiling={result.ceiling}"
     ]
-    return [format_sequence(result.witness, comments)], 0
+    return [sequences.format_sequence(result.witness, comments)], 0
 
 
 def cmd_cross(args) -> tuple[Iterable[str], int]:
     s = _read_sequences(args.s)[0].with_mode("cyclic")
     t = _read_sequences(args.t)[0].with_mode("cyclic")
     if min(t.colors) <= s.palette_size:
-        t = shift_palette(t, s.palette_size)
-    plan = plan_cross(len(s), args.m1, len(t), args.m2)
-    out = cross(s, t, plan)
+        t = crossing.shift_palette(t, s.palette_size)
+    plan = crossing.plan_cross(len(s), args.m1, len(t), args.m2)
+    out = crossing.cross(s, t, plan)
     comments = [f"cross split={args.m1}+{args.m2} d={plan.d} L={plan.L}"]
-    return [format_sequence(out, comments)], 0
+    return [sequences.format_sequence(out, comments)], 0
 
 
 def cmd_compose(args) -> tuple[Iterable[str], int]:
-    result = compose_for_m(args.m, max_colors=args.max_colors)
+    result = crossing.compose_for_m(args.m, max_colors=args.max_colors)
     split = "+".join(str(p) for p in result.split)
     comments = [f"compose split={split} palettes={','.join(map(str, result.factor_palettes))}"]
     comments.extend(
         f"stage {i}: d={plan.d} L={plan.L}" for i, plan in enumerate(result.plans)
     )
-    return [format_sequence(result.sequence, comments)], 0
+    return [sequences.format_sequence(result.sequence, comments)], 0
 
 
 def cmd_bounds(args) -> tuple[Iterable[str], int]:
-    records = bounds_table(args.m, _parse_range(args.k_range))
-    return _table_chunks("bounds", records, args.format), 0
+    records = bounds.bounds_table(args.m, _parse_range(args.k_range))
+    return bounds._table_chunks("bounds", records, args.format), 0
 
 
 def cmd_kmin(args) -> tuple[Iterable[str], int]:
-    rows = kmin_table(_int_list(args.m), _int_list(args.sizes))
-    return _table_chunks("kmin", rows, args.format), 0
+    rows = bounds.kmin_table(_int_list(args.m), _int_list(args.sizes))
+    return bounds._table_chunks("kmin", rows, args.format), 0
 
 
 def _parse_blocks(text: str) -> list[tuple[int, int]]:
@@ -183,45 +166,54 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_gain(args) -> tuple[Iterable[str], int]:
-    records = gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
-    return _table_chunks("gain", records, args.format), 0
+    records = bounds.gain_table(_int_list(args.sizes), _parse_blocks(args.blocks))
+    return bounds._table_chunks("gain", records, args.format), 0
 
 
 def cmd_grid(args) -> tuple[Iterable[str], int]:
     s = _read_sequences(args.s)[0]
     t = _read_sequences(args.t)[0]
-    return _grid_lines(product_grid(s, t)), 0
+    return grid2d._grid_lines(grid2d.product_grid(s, t)), 0
 
 
 def cmd_codebook(args) -> tuple[Iterable[str], int]:
-    grid = parse_grid(_read_text(args.grid))
-    return _codebook_lines(build_codebook(grid, args.m, args.n)), 0
+    grid = grid2d.parse_grid(_read_text(args.grid))
+    return grid2d._codebook_lines(grid2d.build_codebook(grid, args.m, args.n)), 0
 
 
 def cmd_decode(args) -> tuple[Iterable[str], int]:
-    cb = parse_codebook(_read_text(args.codebook))
-    pos = decode_colors(cb, _int_list(args.colors))
+    cb = grid2d.parse_codebook(_read_text(args.codebook))
+    pos = grid2d.decode_colors(cb, _int_list(args.colors))
     return [f"{pos[0]} {pos[1]}\n"], 0
 
 
 def cmd_simulate(args) -> tuple[Iterable[str], int]:
     if args.config:
-        config = parse_config(_read_text(args.config))
+        config = sim.parse_config(_read_text(args.config))
     else:
-        values = {key: getattr(args, key) for key in _CONFIG_KEYS}
+        values = {key: getattr(args, key) for key in sim._CONFIG_KEYS}
         missing = [f"--{key}" for key, value in values.items() if value is None]
         if missing:
             raise InputError(f"missing flags: {' '.join(missing)}")
-        config = _make_config(values, args.traj)
-    placement = deploy(config)
-    report = summarize(config, placement)
-    slots = iter_slots(config, placement)
+        config = sim._make_config(values, args.traj)
+    placement = sim.deploy(config)
+    report = sim.summarize(config, placement)
+    slots = sim.iter_slots(config, placement)
     if args.records:
         _write(args.records, (record.to_json() + "\n" for record in slots))
     else:
         for _ in slots:  # every slot is still decoded and checked
             pass
     return [report.to_json() + "\n"], 0
+
+
+class _LibraryBudget(str):
+    """The default of --max-colors.  argparse converts a string default with
+    the option's type, and int() of this one reads compose_for_m's own
+    budget, so crossing runs only when compose is parsed."""
+
+    def __int__(self) -> int:
+        return crossing._MAX_COLORS
 
 
 def _command(sub, func, help: str) -> argparse.ArgumentParser:
@@ -280,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, cmd_compose, "build a sequence for any window size")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-colors", type=int, default=_MAX_COLORS)
+    p.add_argument("--max-colors", type=int, default=_LibraryBudget())
 
     p = _command(sub, cmd_bounds, "length bound table (CSV)")
     p.add_argument("--m", type=int, required=True)

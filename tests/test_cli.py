@@ -565,6 +565,18 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith("mcgc ")
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (["construct", "--m", "1", "--k", "3"], 0, "# k=3 mode=cyclic\n1 2 3\n"),
+        (["construct", "--m", "2", "--k", "2"], 1, ""),
+    ])
+    def test_main_exits_with_the_dispatch_code(self, argv, code, out, capsys, monkeypatch):
+        # main is the mcgc script's entry point: it reads sys.argv past the program name
+        monkeypatch.setattr(sys, "argv", ["mcgc", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == code
+        assert capsys.readouterr().out == out
+
     def test_domain_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--m", "2", "--k", "2")
         assert code == 1
@@ -633,7 +645,7 @@ class TestErrorPaths:
         def exhausted(config):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "deploy", exhausted)
+        monkeypatch.setattr(sim, "deploy", exhausted)
         code, out, err = run_cli(capsys, *f"{SIMULATE} uniform".split())
         assert (code, out, err) == (1, "", "error: out of memory\n")
 

@@ -95,6 +95,9 @@ class TestColorSequence:
         s = ColorSequence.of([2, 5, 1])
         assert s.palette_size == 5 and s.mode == "cyclic"
 
+    def test_iterates_its_colors_in_order(self):
+        assert list(ColorSequence((3, 1, 2, 1), 3, "linear")) == [3, 1, 2, 1]
+
 
 class TestWindowMultiset:
     def test_base_word_wrap(self):

@@ -47,6 +47,13 @@ class TestConfig:
             SimConfig(cells, 2, 10, 8, 0, trajectory="foo")
         assert str(info.value) == want
 
+    def test_as_dict_names_every_field_in_order(self):
+        config = SimConfig(6, 2, 10, 8, 5, trajectory="walk", p_move=0.25)
+        assert list(config.as_dict().items()) == [
+            ("cells_per_side", 6), ("block", 2), ("slots", 10), ("bits_per_slot", 8),
+            ("seed", 5), ("trajectory", "walk"), ("p_move", 0.25),
+        ]
+
     def test_trajectory_strings(self):
         assert parse_trajectory("uniform") == ("uniform", 0.5)
         assert parse_trajectory("walk") == ("walk", 0.5)
