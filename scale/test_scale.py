@@ -60,6 +60,16 @@ axis = t_cut(build_m2(40), 799, 2)
 print(build_codebook(product_grid(axis, axis), 2, 2).size)
 """
 
+# window-1 axes of 31623 colors each: a product palette of about 10**9
+# colors, whose count vector alone would take 8 GB
+BILLION_COLORS = """
+from mcgc.grid2d import decode, product_codebook
+from mcgc.sequences import ColorSequence, Multiset
+axis = ColorSequence(tuple(range(1, 31624)), 31623)
+cb = product_codebook(axis, axis, 1, 1)
+print(decode(cb, Multiset.of([4 * 31623 + 7], cb.palette_size)))
+"""
+
 
 def run(*args, timeout, limit_kb=0):
     """Exit code, stdout, stderr and max RSS in MB of ``python -m mcgc.cli
@@ -207,6 +217,11 @@ def test_long_checks_keep_the_weight_memo_bounded(tmp_path):
     # 236 MB max RSS with the weight memo at its 4096 colors, 604 MB with a
     # memo that keeps every weight
     assert ok("-c", DISTINCT_COLORS, timeout=30)[1] < 300
+
+
+def test_a_decode_reads_its_block_not_the_palette():
+    out, rss_mb = ok("-c", BILLION_COLORS, timeout=10, limit_kb=600000)
+    assert out == "(4, 6)\n" and rss_mb < 100
 
 
 def test_simulations_decode_large_fields_and_stream_a_million_slots():

@@ -346,49 +346,33 @@ def product_codebook(s1: ColorSequence, s2: ColorSequence, m: int, n: int) -> Co
     return _keyed_codebook(m, n, s1.palette_size * s2.palette_size, mode, table)
 
 
-def decode_colors(cb: Codebook, colors: Sequence[int]) -> tuple[int, int]:
-    """Tag point of the block whose sensors reported colors, in any order.
-
-    The errors are ``decode(cb, Multiset.of(colors, cb.palette_size))``'s,
-    in its order: the first color outside the palette in input order
-    (InputError), a count other than m*n (CardinalityError), no such block
-    (UnknownBlockError).
-    """
-    key = tuple(sorted(colors))
-    k = cb.palette_size
-    if key and (key[0] < 1 or key[-1] > k):
-        _require_palette(k, colors)  # raises, naming the first such color
-    _require_size(cb, len(key))
-    return _lookup(cb, key)
-
-
-def _require_size(cb: Codebook, size: int) -> None:
-    want = cb.block_m * cb.block_n
-    if size != want:
-        raise CardinalityError(f"multiset has {size} elements; blocks have {want}")
-
-
-def _lookup(cb: Codebook, key: tuple[int, ...]) -> tuple[int, int]:
-    """Tag point of the block whose m*n sorted colors are key, or UnknownBlockError."""
-    pos = cb.entries.table.get(key)
-    if pos is None:
-        raise UnknownBlockError(f"multiset {_count_key(key, cb.palette_size)} is not a code symbol")
-    return pos
+def decode_colors(cb: Codebook, colors: Iterable[int]) -> tuple[int, int]:
+    """Tag point of the block whose sensors reported colors, in any order:
+    ``decode(cb, Multiset.of(colors, cb.palette_size))``, so its errors are
+    ``Multiset.of``'s (InputError, naming the first color outside the palette
+    in input order, or else the first that is not an integer) and then
+    ``decode``'s."""
+    return decode(cb, Multiset.of(colors, cb.palette_size))
 
 
 def decode(cb: Codebook, s: Multiset) -> tuple[int, int]:
     """Tag point of the block with multiset s, looked up by the sorted colors
-    that s keeps.  The errors are ``decode_colors``'s on those colors, after
-    one of its own: a multiset over another palette than the codebook's is
-    malformed (CardinalityError).  A count other than m*n is refused before
-    the colors of a multiset made from counts are expanded."""
-    if s.palette_size != cb.palette_size:
+    that s keeps; s's count vector is not read.  A multiset over another
+    palette than the codebook's, or of a count other than m*n, is malformed
+    (CardinalityError), and the count is refused before the colors of a
+    multiset made from counts are expanded; one that no block has raises
+    UnknownBlockError."""
+    k, want = cb.palette_size, cb.block_m * cb.block_n
+    if s.palette_size != k:
         raise CardinalityError(
-            f"multiset palette {s.palette_size} differs from codebook "
-            f"palette {cb.palette_size}"
+            f"multiset palette {s.palette_size} differs from codebook palette {k}"
         )
-    _require_size(cb, s.cardinality)
-    return _lookup(cb, s._colors)
+    if s.cardinality != want:
+        raise CardinalityError(f"multiset has {s.cardinality} elements; blocks have {want}")
+    pos = cb.entries.table.get(s._colors)
+    if pos is None:
+        raise UnknownBlockError(f"multiset {_count_key(s._colors, k)} is not a code symbol")
+    return pos
 
 
 def format_grid(g: ColorGrid2D) -> str:

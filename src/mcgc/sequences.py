@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, islice, tee
+from itertools import accumulate, compress, islice, repeat, tee
 from operator import add, ne, sub
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
@@ -77,10 +77,11 @@ class Multiset:
     The count vector is the file form only: the '-'-joined ``key()`` of
     codebook files and error messages, and the keys of ``Codebook.entries``;
     checks and codebooks key by weight sums and sorted colors instead.  A
-    multiset keeps its sorted colors, which ``grid2d.decode`` reads: ``of``
-    sorts the colors it is given, and one made from counts expands them on
-    first use.  They are not a field, so equality, hash, repr and pickles
-    are those of the count vector.
+    multiset keeps its sorted colors, which ``grid2d.decode`` reads.  One
+    made by ``of`` keeps the palette size and the colors it is given, sorted,
+    and makes its count vector on first read; one made from counts expands
+    its colors on first use.  The colors are not a field, so equality, hash,
+    repr and pickles are those of the count vector.
     """
 
     counts: tuple[int, ...]
@@ -95,14 +96,14 @@ class Multiset:
     def of(cls, elements: Iterable[int], palette_size: int) -> "Multiset":
         colors = tuple(elements)
         _require_palette(palette_size, colors)
-        counts = [0] * palette_size
-        for color in colors:
-            counts[color - 1] += 1
-        # Counts of a non-empty palette are valid by construction, so the
-        # scan in __post_init__ is skipped: it would cost more than the count.
+        if not isinstance(palette_size, int):
+            raise InputError(f"palette size {palette_size} is not an integer")
+        if not all(map(isinstance, colors, repeat(int))):
+            c = next(c for c in colors if not isinstance(c, int))
+            raise InputError(f"color {c} is not an integer")
         ms = object.__new__(cls)
         vars(ms).update(
-            counts=tuple(counts), cardinality=len(colors), _colors=tuple(sorted(colors))
+            palette_size=palette_size, cardinality=len(colors), _colors=tuple(sorted(colors))
         )
         return ms
 
@@ -113,10 +114,21 @@ class Multiset:
         except ValueError as exc:
             raise InputError(f"malformed multiset key {key!r}") from exc
 
+    def __getattr__(self, name: str):
+        """The count vector of a multiset made by ``of``, made on first read:
+        its palette and colors are valid by then, so no scan is needed."""
+        if name != "counts" or "_colors" not in vars(self):
+            return super().__getattribute__(name)  # the usual AttributeError
+        counts = [0] * self.palette_size
+        for color in self._colors:
+            counts[color - 1] += 1
+        vars(self)["counts"] = counts = tuple(counts)
+        return counts
+
     def __getstate__(self) -> dict:
         return {"counts": self.counts}  # the kept colors are made again on use
 
-    @property
+    @cached_property
     def palette_size(self) -> int:
         return len(self.counts)
 

@@ -97,6 +97,15 @@ CASES = {
         lambda: Multiset((1, -1)),
         InputError, "negative multiplicity in count vector",
     ),
+    # a color must be an int, also where it lies between the palette's ends
+    "Multiset_of_float": (
+        lambda: Multiset.of([1, 1.5, 2, 3], 9),
+        InputError, "color 1.5 is not an integer",
+    ),
+    "Multiset_of_float_palette": (
+        lambda: Multiset.of([1], 2.0),
+        InputError, "palette size 2.0 is not an integer",
+    ),
     "from_key": (
         lambda: Multiset.from_key("1-x"),
         InputError, "malformed multiset key '1-x'",

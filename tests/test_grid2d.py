@@ -39,7 +39,7 @@ from mcgc.sequences import (
     t_cut,
     window_multiset,
 )
-from mcgc.sim import axis_sequence
+from mcgc.sim import SimConfig, axis_sequence, deploy
 
 
 def linear_pairs_axis():
@@ -364,6 +364,44 @@ class TestCodebook:
         if missing.counts not in cb.entries:
             with pytest.raises(UnknownBlockError):
                 decode(cb, missing)
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "color nan outside palette [1..9]"),  # no sorted order places it
+        (1.5, "color 1.5 is not an integer"),  # inside the palette, yet no color
+    ])
+    def test_non_integer_colors_fail_alike_through_either_decode(self, bad, message):
+        cb = deploy(SimConfig(4, 2, 1, 8, seed=0)).codebook
+        colors = [1, 2, bad, 3]
+        for call in (
+            lambda: decode(cb, Multiset.of(colors, cb.palette_size)),
+            lambda: decode_colors(cb, colors),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_decoding_makes_no_count_vector(self, monkeypatch):
+        axis = linear_pairs_axis()
+        g = product_grid(axis, axis)
+        cb = product_codebook(axis, axis, 2, 2)
+        made = []
+        of = Multiset.of.__func__
+
+        def kept(cls, colors, k):
+            made.append(of(cls, colors, k))
+            return made[-1]
+
+        monkeypatch.setattr(Multiset, "of", classmethod(kept))
+        hit = [g.color(3 + i, 4 + j) for i in range(2) for j in range(2)]
+        assert decode(cb, Multiset.of(hit, g.palette_size)) == (3, 4)
+        assert decode_colors(cb, hit) == (3, 4)
+        # no block holds three cells of one color and one of another
+        for colors, error in ([1, 1, 1, 2], UnknownBlockError), (hit[:3], CardinalityError):
+            with pytest.raises(error):
+                decode(cb, Multiset.of(colors, g.palette_size))
+            with pytest.raises(error):
+                decode_colors(cb, colors)
+        assert len(made) == 6 and not any("counts" in vars(ms) for ms in made)
 
 
 def outcome(call, *args) -> str:

@@ -3,7 +3,7 @@ also with color weights whose sums repeat or collide, and on colors drawn
 sparsely from palettes up to 10**12, past its weight memo, the palette rule
 against a color-by-color loop, the axis-backed product codebook against the
 grid's codebook (also on keys of other lengths than a block's), decoding
-from reported colors against decoding a multiset, decoding a multiset
+from reported colors against an oracle on their counts, decoding a multiset
 however it was made (from colors, counts or key, copied or pickled) against
 its count vector, the count-vector keys a codebook takes and finds against
 an independent oracle, compose_for_m's pick
@@ -323,10 +323,6 @@ def test_product_codebook_matches_grid_codebook(s1, s2, m, n, data):
         assert _outcome(decode, got, query) == _outcome(decode, want, query)
 
 
-def _decode_multiset(cb, colors):
-    return decode(cb, Multiset.of(colors, cb.palette_size))
-
-
 @PROPERTY
 @given(axes(), axes(), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_decode_colors_matches_decode(s1, s2, m, n, data):
@@ -353,7 +349,7 @@ def test_decode_colors_matches_decode(s1, s2, m, n, data):
         counts = [tuple(map(int, row.split(",")[0].split("-"))) for row in rows]
         assert counts == sorted(counts) and len(counts) == cb.size
         for colors in queries:
-            assert _outcome(decode_colors, cb, colors) == _outcome(_decode_multiset, cb, colors)
+            assert _outcome(decode_colors, cb, colors) == _colors_oracle(cb, colors)
 
 
 def _decode_oracle(cb, counts):
@@ -368,6 +364,16 @@ def _decode_oracle(cb, counts):
     if counts not in cb.entries:
         return UnknownBlockError, (f"multiset {'-'.join(map(str, counts))} is not a code symbol",)
     return cb.entries[counts]
+
+
+def _colors_oracle(cb, colors):
+    """decode_colors's outcome read from the colors alone: the first color
+    outside the palette, else the count-vector oracle's on their counts."""
+    k = cb.palette_size
+    for c in colors:
+        if not 1 <= c <= k:
+            return InputError, (f"color {c} outside palette [1..{k}]",)
+    return _decode_oracle(cb, tuple(map(colors.count, range(1, k + 1))))
 
 
 def _remade(forms):
@@ -397,19 +403,27 @@ def test_decode_reads_the_multiset_however_it_was_made(s1, s2, m, n, data):
         queries |= st.tuples(st.just(k), blocks | redrawn)
     palette, colors = data.draw(queries)
     colors = data.draw(st.permutations(colors))
+    counts = tuple(map(colors.count, range(1, palette + 1)))
+    want = Multiset(counts)
+    # each read below is the first of a multiset made from colors, which
+    # makes its count vector then; equality last, from either side
+    for read in (hash, pickle.dumps, repr, asdict, Multiset.key):
+        assert read(Multiset.of(colors, palette)) == read(want)
+    assert Multiset.of(colors, palette) == want and want == Multiset.of(colors, palette)
+    assert Multiset.of(colors, palette) == Multiset.of(colors, palette)
     made = Multiset.of(colors, palette)
-    forms = [made, Multiset(made.counts), Multiset.from_key(made.key())]
-    forms += _remade(forms)
+    forms = [made, want, Multiset.from_key(want.key())]
     for cb in books:  # the first book decodes multisets that have kept nothing yet
-        want = _decode_oracle(cb, made.counts)
-        assert all(_outcome(decode, cb, ms) == want for ms in forms)
+        outcome = _decode_oracle(cb, counts)
+        assert all(_outcome(decode, cb, ms) == outcome for ms in forms)
         # copies of multisets that have been decoded, and their pickles
-        assert all(_outcome(decode, cb, ms) == want for ms in _remade(forms))
+        assert all(_outcome(decode, cb, ms) == outcome for ms in _remade(forms))
+    forms += _remade(forms)
     for ms in forms:
-        assert ms == made and hash(ms) == hash(made) and repr(ms) == repr(made)
-        assert asdict(ms) == {"counts": made.counts} and len(fields(ms)) == 1
+        assert ms == want and hash(ms) == hash(want) and repr(ms) == repr(want)
+        assert asdict(ms) == {"counts": counts} and len(fields(ms)) == 1
         assert ms.elements() == sorted(colors) and ms.cardinality == len(colors)
-        assert pickle.dumps(ms) == pickle.dumps(Multiset(made.counts))  # kept colors stay out
+        assert pickle.dumps(ms) == pickle.dumps(want)  # kept colors stay out
 
 
 def _count_vector_ok(v, k, size):

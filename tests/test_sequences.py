@@ -34,6 +34,13 @@ class TestMultiset:
         assert ms.elements() == [1, 3, 3]
         assert ms.key() == "1-0-2"
 
+    def test_of_makes_its_count_vector_on_first_read(self):
+        ms = Multiset.of([3, 1, 3], 3)
+        assert vars(ms) == {"palette_size": 3, "cardinality": 3, "_colors": (1, 3, 3)}
+        assert ms.key() == "1-0-2" and vars(ms)["counts"] == (1, 0, 2)
+        with pytest.raises(AttributeError, match="'Multiset' object has no attribute 'count'"):
+            ms.count
+
     def test_key_roundtrip(self):
         ms = Multiset.of([2, 2, 5], 6)
         assert Multiset.from_key(ms.key()) == ms
